@@ -7,8 +7,8 @@ combinatorial predicates; only the combinatorics is computed here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from collections.abc import Iterable
 
 from .coxeter import (
     CoxeterDiagram,
@@ -17,7 +17,7 @@ from .coxeter import (
     nerve_strong_connectivity,
 )
 from .gcm import FINITE, GeneralizedCartanMatrix, classify, scalars
-from .parabolics import EssentialPoset
+from .parabolics import EssentialPoset, all_subsets, essential_subsets
 
 
 class NotPrimePowerError(ValueError):
@@ -27,7 +27,7 @@ class NotPrimePowerError(ValueError):
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """(p, e) with q = p^e, p prime, e >= 1; trial division only.
+    """(p, e) with q = p^e, p prime, e >= 1; trial division up to sqrt(q).
 
     >>> prime_power(8)
     (2, 3)
@@ -36,7 +36,8 @@ def prime_power(q: int) -> tuple[int, int]:
     """
     if q < 2:
         raise NotPrimePowerError(q)
-    p = next(d for d in range(2, q + 1) if q % d == 0)
+    # the least divisor of q is prime; none up to sqrt(q) means q is prime
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
     e = 0
     rest = q
     while rest % p == 0:
@@ -272,20 +273,21 @@ def locally_normal_report(gcm: GeneralizedCartanMatrix) -> StructureReport:
     perp-closure of J.
     """
     diagram = coxeter_matrix(gcm)
+    essential = essential_nonempty(diagram)
     records = []
-    for subset in essential_nonempty(diagram):
+    for subset in essential:
         perp = diagram.decompose(subset).perp
-        for extra in _subsets_of(perp):
+        for extra in all_subsets(perp):
             if not diagram.is_spherical(extra):
                 continue
             union = subset | extra
-            name = _parabolic_name(diagram, union)
-            j_name = diagram_set_label(diagram, subset)
-            perp_closure = diagram_set_label(diagram, subset | perp)
+            name = diagram.parabolic_name(union)
+            j_name = diagram.label_set(subset)
+            perp_closure = diagram.label_set(subset | perp)
             records.append(
                 SandwichRecord(
                     essential=subset,
-                    spherical_extra=frozenset(extra),
+                    spherical_extra=extra,
                     union=union,
                     parabolic=name,
                     statement=(
@@ -299,7 +301,7 @@ def locally_normal_report(gcm: GeneralizedCartanMatrix) -> StructureReport:
             )
     compact_or_open = all(
         diagram.is_spherical(diagram.decompose(subset).perp)
-        for subset in essential_nonempty(diagram)
+        for subset in essential
     )
     return StructureReport(
         sandwiches=tuple(records),
@@ -309,27 +311,4 @@ def locally_normal_report(gcm: GeneralizedCartanMatrix) -> StructureReport:
 
 
 def essential_nonempty(diagram: CoxeterDiagram) -> list[frozenset[int]]:
-    from .parabolics import essential_subsets
-
     return [s for s in essential_subsets(diagram) if s]
-
-
-def _subsets_of(base: frozenset[int]) -> list[frozenset[int]]:
-    members = sorted(base)
-    out = []
-    for bits in range(1 << len(members)):
-        out.append(frozenset(m for k, m in enumerate(members) if bits >> k & 1))
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
-
-
-def diagram_set_label(diagram: CoxeterDiagram, subset: Iterable[int]) -> str:
-    inside = ",".join(diagram.labels[i] for i in sorted(subset))
-    return "{" + inside + "}"
-
-
-def _parabolic_name(diagram: CoxeterDiagram, subset: frozenset[int]) -> str:
-    if not subset:
-        return "B"
-    if subset == frozenset(range(diagram.rank)):
-        return "G"
-    return "P_" + diagram_set_label(diagram, subset)

@@ -15,41 +15,28 @@ Exit codes: 0 success (bounded "not found" / "inconclusive" payloads
 included), 1 internal error, 2 input or validation error, 3 enumeration
 budget exceeded.  Sets and words on the command line are 1-based
 comma-separated indices; JSON payloads use 1-based indices as well.
+
+Each command is a row of ``COMMANDS``; ``_run`` builds every envelope.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from . import __version__, catalog
-from .analysis import (
-    NotPrimePowerError,
-    ends_verdict,
-    indecomposability_verdict,
-    locally_normal_report,
-    open_subgroup_report,
-    prime_power,
-)
-from .coxeter import (
-    INFINITE,
-    NotSphericalError,
-    coxeter_matrix,
-    nerve_strong_connectivity,
-)
+from .analysis import (NotPrimePowerError, ends_verdict, indecomposability_verdict,
+                       locally_normal_report, open_subgroup_report, prime_power)
+from .coxeter import (INFINITE, NotSphericalError, coxeter_matrix,
+                      nerve_strong_connectivity)
 from .gcm import GcmValidationError, GeneralizedCartanMatrix, classify, scalars
-from .parabolics import (
-    ComponentNotSphericalError,
-    EssentialPoset,
-    NotEssentialError,
-    find_j_regular,
-    parabolic_closure_search,
-    standard_conjugacy,
-)
+from .parabolics import (ComponentNotSphericalError, NotEssentialError, find_j_regular,
+                         parabolic_closure_search, standard_conjugacy)
 from .roots import positive_real_roots, split_by_support
-from .weyl import DEFAULT_BUDGET, BudgetExceededError, WeylGroup
+from .weyl import DEFAULT_BUDGET, BudgetExceededError, WeylElement, WeylGroup
 
 
 class InputError(ValueError):
@@ -102,75 +89,72 @@ def _read_gcm(path: str) -> GeneralizedCartanMatrix:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _parse_set(text: str, rank: int, allow_empty: bool = True) -> frozenset[int]:
-    """'1,3' -> frozenset({0, 2}); 1-based on the wire, 0-based inside."""
+def _parse_indices(text: str, rank: int, noun: str) -> list[int]:
+    """'2,1,2' -> [2, 1, 2], each checked to lie in 1..rank; order kept."""
     text = text.strip()
     if not text:
-        if allow_empty:
-            return frozenset()
-        raise InputError("set must not be empty")
-    out = set()
-    for tok in text.split(","):
-        try:
-            k = int(tok)
-        except ValueError as exc:
-            raise InputError(f"bad index {tok!r}") from exc
-        if not 1 <= k <= rank:
-            raise InputError(f"index {k} out of range 1..{rank}")
-        out.add(k - 1)
-    return frozenset(out)
-
-
-def _parse_word(text: str, rank: int) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
+        return []
     out = []
     for tok in text.split(","):
         try:
             k = int(tok)
         except ValueError as exc:
-            raise InputError(f"bad letter {tok!r}") from exc
+            raise InputError(f"bad {noun} {tok!r}") from exc
         if not 1 <= k <= rank:
-            raise InputError(f"letter {k} out of range 1..{rank}")
-        out.append(k - 1)
-    return tuple(out)
+            raise InputError(f"{noun} {k} out of range 1..{rank}")
+        out.append(k)
+    return out
+
+
+def _parse_set(text: str, rank: int) -> frozenset[int]:
+    """'1,3' -> frozenset({0, 2}); 1-based on the wire, 0-based inside."""
+    return frozenset(k - 1 for k in _parse_indices(text, rank, "index"))
+
+
+def _word_element(gcm: GeneralizedCartanMatrix, args) -> tuple[list[int], WeylElement]:
+    """The --word letters as given (1-based) and the element they spell."""
+    letters = _parse_indices(args.word, gcm.rank, "letter")
+    return letters, WeylGroup(gcm).from_word(k - 1 for k in letters)
 
 
 # ---------------------------------------------------------------- output
 
 
-def _ext(subset: Iterable[int]) -> list[int]:
-    """0-based set -> sorted 1-based list for payloads."""
-    return sorted(i + 1 for i in subset)
+def _wire(value):
+    """Convert library data to JSON data, recursively and by type alone.
+
+    Frozensets (0-based index sets) become sorted 1-based lists and Weyl
+    elements become their 1-based canonical words.  Dataclasses become dicts
+    of their fields, tuples become lists and ``INFINITE`` becomes null.
+    Integers are never shifted, so coordinates, matrix rows, counts and the
+    input words echoed as the user gave them pass through unchanged.
+    """
+    kind = type(value)
+    if kind is int or kind is str or kind is bool or value is None:
+        return value
+    if kind is frozenset:
+        return sorted(i + 1 for i in value)
+    if kind is tuple or kind is list:
+        return [_wire(v) for v in value]
+    if kind is dict:
+        return {k: _wire(v) for k, v in value.items()}
+    if kind is WeylElement:
+        return [k + 1 for k in value.word]
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: _wire(getattr(value, f.name)) for f in dataclasses.fields(value)
+        }
+    if value == INFINITE:
+        return None
+    raise TypeError(f"no wire form for {kind.__name__}")
 
 
-def _ext_word(word: Iterable[int]) -> list[int]:
-    return [k + 1 for k in word]
-
-
-def _orders_payload(orders) -> list[list[int | None]]:
-    return [
-        [None if m == INFINITE else int(m) for m in row] for row in orders
-    ]
-
-
-def _envelope(command, gcm, parameters, payload, warnings):
-    return {
-        "tool": {"name": "km", "version": __version__},
-        "command": command,
-        "input": {
-            "labels": list(gcm.labels) if gcm else None,
-            "matrix": [list(r) for r in gcm.entries] if gcm else None,
-        },
-        "parameters": parameters,
-        "payload": payload,
-        "warnings": warnings,
-    }
-
-
-def _emit(doc) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def _dot(name: str, labels: Iterable[str], edges: Iterable[tuple[int, int]]) -> str:
+    """A bottom-to-top digraph: node k carries labels[k], one arc per pair."""
+    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines += [f'  n{k} [label="{label}"];' for k, label in enumerate(labels)]
+    lines += [f"  n{a} -> n{b};" for a, b in edges]
+    return "\n".join(lines) + "\n}\n"
 
 
 _BOUNDED_NOTE = "bounded computation: results are certificates up to the stated bounds only"
@@ -179,399 +163,290 @@ _BOUNDED_NOTE = "bounded computation: results are certificates up to the stated 
 # ---------------------------------------------------------------- handlers
 
 
-def _cmd_validate(args):
-    gcm = _read_gcm(args.gcm)
-    payload = {"valid": True, "rank": gcm.rank, "labels": list(gcm.labels)}
-    _emit(_envelope("validate", gcm, {}, payload, []))
-    return 0
+def _validate(gcm, args):
+    return {}, {"valid": True, "rank": gcm.rank, "labels": gcm.labels}
 
 
-def _cmd_classify(args):
-    gcm = _read_gcm(args.gcm)
+def _classify(gcm, args):
     verdict = classify(gcm)
-    sc = scalars(gcm)
-    payload = {
-        "components": [
-            {"members": _ext(comp), "type": typ}
-            for comp, typ in zip(verdict.components, verdict.types)
-        ],
+    components = [
+        {"members": comp, "type": typ}
+        for comp, typ in zip(verdict.components, verdict.types)
+    ]
+    return {}, {
+        "components": components,
         "indecomposable": verdict.indecomposable,
-        "max_abs_offdiag": sc.max_abs_offdiag,
-        "two_spherical": sc.two_spherical,
+        **vars(scalars(gcm)),
     }
-    _emit(_envelope("classify", gcm, {}, payload, []))
-    return 0
 
 
-def _cmd_coxeter(args):
-    gcm = _read_gcm(args.gcm)
+def _coxeter(gcm, args):
     diagram = coxeter_matrix(gcm)
-    payload = {
-        "orders": _orders_payload(diagram.orders),
-        "defining_graph_edges": [_ext(e) for e in diagram.edges()],
-        "finite_order_graph_edges": [_ext(e) for e in diagram.finite_order_edges()],
+    return {}, {
+        "orders": diagram.orders,
+        "defining_graph_edges": [frozenset(e) for e in diagram.edges()],
+        "finite_order_graph_edges": [
+            frozenset(e) for e in diagram.finite_order_edges()
+        ],
     }
-    _emit(_envelope("coxeter", gcm, {}, payload, []))
-    return 0
 
 
-def _cmd_decompose(args):
-    gcm = _read_gcm(args.gcm)
+def _decompose(gcm, args):
     diagram = coxeter_matrix(gcm)
     subset = _parse_set(args.set, gcm.rank)
     dec = diagram.decompose(subset)
-    if dec.is_spherical:
-        order, positive = diagram.finite_group_order(subset)
-    else:
-        order, positive = None, None
-    payload = {
-        "set": _ext(subset),
-        "components": [_ext(c) for c in dec.components],
-        "spherical_part": _ext(dec.spherical_part),
-        "essential_part": _ext(dec.essential_part),
-        "perp": _ext(dec.perp),
-        "is_spherical": dec.is_spherical,
+    spherical = dec.is_spherical
+    order, positive = diagram.finite_group_order(subset) if spherical else (None, None)
+    return {"set": subset}, {
+        "set": subset,
+        "components": dec.components,
+        "spherical_part": dec.spherical_part,
+        "essential_part": dec.essential_part,
+        "perp": dec.perp,
+        "is_spherical": spherical,
         "is_essential": dec.is_essential and bool(subset),
         "finite_order": order,
         "positive_root_count": positive,
     }
-    _emit(_envelope("decompose", gcm, {"set": _ext(subset)}, payload, []))
-    return 0
 
 
-def _poset_payload(gcm):
-    report = open_subgroup_report(gcm)
+def _poset_payload(report):
     classes = [
         {
-            "set": _ext(c.subset),
+            "set": c.subset,
             "class_label": c.class_label,
             "representative": c.representative,
             "description": c.description,
         }
         for c in report.classes
     ]
-    return report, {
-        "classes": classes,
-        "hasse": [list(pair) for pair in report.poset.hasse],
-        "semantics": list(report.semantics),
+    return {
+        "classes": classes, "hasse": report.poset.hasse, "semantics": report.semantics
     }
 
 
-def _poset_dot(report) -> str:
-    lines = ["digraph essential_poset {", "  rankdir=BT;"]
-    for k, c in enumerate(report.classes):
-        label = f"{c.representative} {c.class_label}"
-        lines.append(f'  n{k} [label="{label}"];')
-    for a, b in report.poset.hasse:
-        lines.append(f"  n{a} -> n{b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_poset(args):
-    gcm = _read_gcm(args.gcm)
-    report, payload = _poset_payload(gcm)
+def _poset(gcm, args):
+    report = open_subgroup_report(gcm)
     if args.format == "dot":
-        sys.stdout.write(_poset_dot(report))
-        return 0
-    _emit(_envelope("poset", gcm, {}, payload, []))
-    return 0
+        labels = [f"{c.representative} {c.class_label}" for c in report.classes]
+        return _dot("essential_poset", labels, report.poset.hasse)
+    return {}, _poset_payload(report)
 
 
-def _cmd_nerve(args):
-    gcm = _read_gcm(args.gcm)
-    diagram = coxeter_matrix(gcm)
-    nerve = diagram.nerve()
+def _nerve(gcm, args):
+    nerve = coxeter_matrix(gcm).nerve()
     if args.format == "dot":
-        lines = ["digraph nerve_faces {", "  rankdir=BT;"]
-        for k, s in enumerate(nerve.simplices):
-            label = ",".join(diagram.labels[i] for i in sorted(s))
-            lines.append(f'  n{k} [label="{{{label}}}"];')
-        for a, b in nerve.face_hasse_edges():
-            lines.append(f"  n{a} -> n{b};")
-        lines.append("}")
-        sys.stdout.write("\n".join(lines) + "\n")
-        return 0
-    connectivity = nerve_strong_connectivity(nerve)
-    payload = {
-        "simplices": [_ext(s) for s in nerve.simplices],
-        "maximal_simplices": [_ext(s) for s in nerve.maximal_simplices()],
-        "count_by_dimension": {
-            str(d): c for d, c in sorted(nerve.by_dimension().items())
-        },
-        "strongly_connected": connectivity.strongly_connected,
+        labels = [gcm.label_set(s) for s in nerve.simplices]
+        return _dot("nerve_faces", labels, nerve.face_hasse_edges())
+    return {}, {
+        "simplices": nerve.simplices,
+        "maximal_simplices": nerve.maximal_simplices(),
+        "count_by_dimension": {str(d): c for d, c in nerve.by_dimension().items()},
+        "strongly_connected": nerve_strong_connectivity(nerve).strongly_connected,
     }
-    _emit(_envelope("nerve", gcm, {}, payload, []))
-    return 0
 
 
-def _witness_payload(witness):
-    if witness is None:
-        return None
-    if witness == frozenset():
-        return {"kind": "finite_order_graph_disconnected"}
-    return {"kind": "separating_spherical_subset", "set": _ext(witness)}
-
-
-def _ends_payload(gcm):
+def _ends(gcm, args):
     ends = ends_verdict(gcm)
-    return {
-        "weyl_infinite": ends.weyl_infinite,
-        "one_ended": ends.one_ended,
-        "graph_strongly_connected": ends.graph_strongly_connected,
-        "nerve_strongly_connected": ends.nerve_strongly_connected,
-        "nerve_agreement": ends.nerve_agreement,
-        "witness": _witness_payload(ends.witness),
-    }
+    witness = ends.witness
+    if witness == frozenset():
+        witness = {"kind": "finite_order_graph_disconnected"}
+    elif witness is not None:
+        witness = {"kind": "separating_spherical_subset", "set": witness}
+    return {}, {**vars(ends), "witness": witness}
 
 
-def _cmd_ends(args):
-    gcm = _read_gcm(args.gcm)
-    _emit(_envelope("ends", gcm, {}, _ends_payload(gcm), []))
-    return 0
+def _indec(gcm, args):
+    return {"q": args.q}, indecomposability_verdict(gcm, args.q)
 
 
-def _indec_payload(gcm, q):
-    verdict = indecomposability_verdict(gcm, q)
-    return {
-        "q": verdict.q,
-        "p": verdict.p,
-        "exponent": verdict.exponent,
-        "applicable": verdict.applicable,
-        "outcome": verdict.outcome,
-        "by": verdict.by,
-        "reasons": [
-            {"criterion": r.criterion, "failed": list(r.failed)}
-            for r in verdict.reasons
-        ],
-        "checklist": verdict.checklist,
-    }
-
-
-def _cmd_indec(args):
-    gcm = _read_gcm(args.gcm)
-    _emit(_envelope("indec", gcm, {"q": args.q}, _indec_payload(gcm, args.q), []))
-    return 0
-
-
-def _cmd_report(args):
-    gcm = _read_gcm(args.gcm)
+def _report(gcm, args):
     prime_power(args.q)  # fail fast on a bad q
-    _, poset_payload = _poset_payload(gcm)
-    structure = locally_normal_report(gcm)
-    payload = {
-        "ends": _ends_payload(gcm),
-        "indecomposability": _indec_payload(gcm, args.q),
-        "open_subgroup_classes": poset_payload,
-        "locally_normal": {
-            "sandwiches": [
-                {
-                    "essential": _ext(s.essential),
-                    "spherical_extra": _ext(s.spherical_extra),
-                    "union": _ext(s.union),
-                    "parabolic": s.parabolic,
-                    "statement": s.statement,
-                    "refined_lower_bound": s.refined_lower_bound,
-                }
-                for s in structure.sandwiches
-            ],
-            "compact_or_open": structure.compact_or_open,
-            "symbols": structure.symbols,
-        },
+    return {"q": args.q}, {
+        "open_subgroup_classes": _poset_payload(open_subgroup_report(gcm)),
+        "locally_normal": locally_normal_report(gcm),
+        "ends": _ends(gcm, args)[1],
+        "indecomposability": indecomposability_verdict(gcm, args.q),
     }
-    _emit(_envelope("report", gcm, {"q": args.q}, payload, []))
-    return 0
 
 
-def _cmd_weyl(args):
-    gcm = _read_gcm(args.gcm)
-    group = WeylGroup(gcm)
-    word = _parse_word(args.word, gcm.rank)
-    element = group.from_word(word)
-    if args.weyl_command == "word":
-        payload = {
-            "word": _ext_word(word),
-            "canonical_word": _ext_word(element.word),
-            "length": element.length,
-            "support": _ext(element.support),
-            "order": element.order(),
-            "is_identity": element.is_identity,
-            "matrix": [list(r) for r in element.rows],
-        }
-        _emit(_envelope("weyl-word", gcm, {"word": _ext_word(word)}, payload, []))
-        return 0
-    # straight
-    lengths = [(element ** n).length for n in range(1, args.n + 1)]
-    payload = {
-        "word": _ext_word(word),
+def _weyl_word(gcm, args):
+    letters, element = _word_element(gcm, args)
+    return {"word": letters}, {
+        "word": letters,
+        "canonical_word": element,
+        "length": element.length,
+        "support": element.support,
+        "order": element.order(),
+        "is_identity": element.is_identity,
+        "matrix": element.rows,
+    }
+
+
+def _weyl_straight(gcm, args):
+    letters, element = _word_element(gcm, args)
+    return {"word": letters, "n": args.n}, {
+        "word": letters,
         "n": args.n,
+        "power_lengths": [(element**n).length for n in range(1, args.n + 1)],
         "is_straight_up_to_n": element.is_straight(args.n),
-        "power_lengths": lengths,
     }
-    _emit(
-        _envelope(
-            "weyl-straight",
-            gcm,
-            {"word": _ext_word(word), "n": args.n},
-            payload,
-            [_BOUNDED_NOTE],
-        )
-    )
-    return 0
 
 
-def _cmd_roots(args):
-    gcm = _read_gcm(args.gcm)
-    group = WeylGroup(gcm)
-    found = positive_real_roots(group, args.max_height, budget=args.budget)
-    def render(root):
-        w, i = root.witness
-        return {
-            "coords": list(root.coords),
-            "height": root.height,
-            "support": _ext(root.support),
-            "witness": {"word": _ext_word(w.word), "simple": i + 1},
-        }
-    payload = {
-        "max_height": args.max_height,
-        "count": len(found),
-        "roots": [render(r) for r in found],
-    }
+def _roots(gcm, args):
+    found = positive_real_roots(WeylGroup(gcm), args.max_height, budget=args.budget)
     parameters = {"max_height": args.max_height, "budget": args.budget}
+    roots = [
+        {
+            "coords": r.coords,
+            "height": r.height,
+            "support": r.support,
+            "witness": {"word": r.witness[0], "simple": r.witness[1] + 1},
+        }
+        for r in found
+    ]
+    payload = {"max_height": args.max_height, "count": len(found), "roots": roots}
     if args.set is not None:
         subset = _parse_set(args.set, gcm.rank)
         inside, outside = split_by_support(found, subset)
-        payload["set"] = _ext(subset)
-        payload["in_set"] = [list(r.coords) for r in inside]
-        payload["off_set"] = [list(r.coords) for r in outside]
-        parameters["set"] = _ext(subset)
-    _emit(_envelope("roots", gcm, parameters, payload, [_BOUNDED_NOTE]))
-    return 0
+        parameters["set"] = payload["set"] = subset
+        payload["in_set"] = [r.coords for r in inside]
+        payload["off_set"] = [r.coords for r in outside]
+    return parameters, payload
 
 
-def _cmd_conj(args):
-    gcm = _read_gcm(args.gcm)
-    group = WeylGroup(gcm)
+def _conj(gcm, args):
     source = _parse_set(args.source, gcm.rank)
     target = _parse_set(args.target, gcm.rank)
-    witness = standard_conjugacy(group, source, target)
-    payload = {
-        "from": _ext(source),
-        "to": _ext(target),
-        "conjugate": witness is not None,
-    }
+    witness = standard_conjugacy(WeylGroup(gcm), source, target)
+    payload = {"from": source, "to": target, "conjugate": witness is not None,
+               "witness_word": None, "moves": None}
     if witness is not None:
-        payload["witness_word"] = _ext_word(witness.element.word)
+        payload["witness_word"] = witness.element
         payload["moves"] = [
-            {
-                "from": _ext(m.source),
-                "s": m.s + 1,
-                "component": _ext(m.component),
-                "nu_word": _ext_word(m.nu.word),
-                "to": _ext(m.target),
-            }
+            {"from": m.source, "s": m.s + 1, "component": m.component,
+             "nu_word": m.nu, "to": m.target}
             for m in witness.moves
         ]
-    else:
-        payload["witness_word"] = None
-        payload["moves"] = None
-    _emit(
-        _envelope(
-            "conj", gcm, {"from": _ext(source), "to": _ext(target)}, payload, []
-        )
+    return {"from": source, "to": target}, payload
+
+
+def _closure(gcm, args):
+    letters, element = _word_element(gcm, args)
+    cert = parabolic_closure_search(
+        element.group, element, args.depth, budget=args.budget
     )
-    return 0
-
-
-def _cmd_closure(args):
-    gcm = _read_gcm(args.gcm)
-    group = WeylGroup(gcm)
-    word = _parse_word(args.word, gcm.rank)
-    element = group.from_word(word)
-    cert = parabolic_closure_search(group, element, args.depth, budget=args.budget)
-    payload = {
-        "word": _ext_word(word),
+    return {"word": letters, "depth": args.depth, "budget": args.budget}, {
+        "word": letters,
         "depth": args.depth,
-        "conjugator_word": _ext_word(cert.conjugator.word),
-        "conjugate_word": _ext_word(cert.conjugate.word),
-        "support": _ext(cert.support),
-        "essential_support": _ext(cert.essential_support),
+        "conjugator_word": cert.conjugator,
+        "conjugate_word": cert.conjugate,
+        "support": cert.support,
+        "essential_support": cert.essential_support,
     }
-    _emit(
-        _envelope(
-            "closure",
-            gcm,
-            {"word": _ext_word(word), "depth": args.depth, "budget": args.budget},
-            payload,
-            [_BOUNDED_NOTE],
-        )
-    )
-    return 0
 
 
-def _cmd_jregular(args):
-    gcm = _read_gcm(args.gcm)
-    group = WeylGroup(gcm)
-    subset = _parse_set(args.set, gcm.rank, allow_empty=False)
+def _jregular(gcm, args):
+    subset = _parse_set(args.set, gcm.rank)  # find_j_regular rejects the empty set
     cert = find_j_regular(
-        group,
-        subset,
-        max_len=args.max_len,
-        power_bound=args.n,
-        max_height=args.max_height,
-        depth=args.depth,
-        budget=args.budget,
+        WeylGroup(gcm), subset, max_len=args.max_len, power_bound=args.n,
+        max_height=args.max_height, depth=args.depth, budget=args.budget,
     )
     parameters = {
-        "set": _ext(subset),
-        "max_len": args.max_len,
-        "n": args.n,
-        "max_height": args.max_height,
-        "depth": args.depth,
-        "budget": args.budget,
+        "set": subset, "max_len": args.max_len, "n": args.n,
+        "max_height": args.max_height, "depth": args.depth, "budget": args.budget,
     }
     if cert is None:
-        payload = {"found": False, "set": _ext(subset)}
-    else:
-        payload = {
-            "found": True,
-            "set": _ext(subset),
-            "element_word": _ext_word(cert.element.word),
-            "certificates": {
-                "torsion_bound": cert.torsion_bound,
-                "straight_up_to": cert.power_bound,
-                "closure_conjugator": _ext_word(cert.closure.conjugator.word),
-                "closure_support": _ext(cert.closure.support),
-                "closure_depth": cert.closure.depth,
-                "root_height": cert.root_height,
-                "roots_checked": cert.roots_checked,
-                "periodic_roots": [],
-            },
-        }
-    _emit(_envelope("jregular", gcm, parameters, payload, [_BOUNDED_NOTE]))
-    return 0
+        return parameters, {"found": False, "set": subset}
+    return parameters, {
+        "found": True,
+        "set": subset,
+        "element_word": cert.element,
+        "certificates": {
+            "torsion_bound": cert.torsion_bound,
+            "straight_up_to": cert.power_bound,
+            "closure_conjugator": cert.closure.conjugator,
+            "closure_support": cert.closure.support,
+            "closure_depth": cert.closure.depth,
+            "root_height": cert.root_height,
+            "roots_checked": cert.roots_checked,
+            "periodic_roots": [],
+        },
+    }
 
 
-def _cmd_catalog(args):
+def _catalog(gcm, args):
     if args.name is None:
-        doc = {
-            "tool": {"name": "km", "version": __version__},
-            "command": "catalog",
-            "input": {"labels": None, "matrix": None},
-            "parameters": {},
-            "payload": {"names": list(catalog.names())},
-            "warnings": [],
-        }
-        _emit(doc)
-        return 0
+        return {}, {"names": catalog.names()}
     try:
-        sys.stdout.write(catalog.read_text(args.name))
+        return catalog.read_text(args.name)
     except KeyError as exc:
         raise InputError(str(exc)) from exc
-    return 0
 
 
-# ---------------------------------------------------------------- parser
+# ---------------------------------------------------------------- commands
+
+
+@dataclasses.dataclass(frozen=True)
+class _Command:
+    """One `km` command.  ``name`` is the wire name; a dash nests it under a
+    group ("weyl-word" is ``km weyl word``).  ``options`` are (flag,
+    argparse keywords) pairs.  Bounded commands warn that their answer only
+    holds up to the stated bounds."""
+
+    name: str
+    handler: Callable
+    help: str
+    options: tuple[tuple[str, dict], ...] = ()
+    bounded: bool = False
+    reads_gcm: bool = True
+
+
+def _opt(flag: str, **keywords) -> tuple[str, dict]:
+    return flag, keywords
+
+
+def _int(flag: str) -> tuple[str, dict]:
+    return _opt(flag, type=int, required=True)
+
+
+_FORMAT = _opt("--format", choices=("json", "dot"), default="json")
+_Q = _opt("--q", type=int, required=True, help="prime power")
+_WORD = _opt("--word", required=True, help="1-based comma-separated letters")
+_BUDGET = _opt("--budget", type=int, default=DEFAULT_BUDGET)
+
+COMMANDS = (
+    _Command("validate", _validate, "check the matrix axioms"),
+    _Command("classify", _classify, "finite/affine/indefinite per component"),
+    _Command("coxeter", _coxeter, "Coxeter matrix and derived graphs"),
+    _Command("decompose", _decompose, "spherical/essential/perp split of a set",
+             (_opt("--set", required=True, help="1-based comma-separated indices"),)),
+    _Command("poset", _poset, "commensurability classes of open subgroups", (_FORMAT,)),
+    _Command("nerve", _nerve, "complex of finite-type subsets", (_FORMAT,)),
+    _Command("ends", _ends, "number-of-ends verdicts"),
+    _Command("indec", _indec, "local indecomposability over F_q", (_Q,)),
+    _Command("report", _report, "full structure report", (_Q,)),
+    _Command("weyl-word", _weyl_word, "canonical word, length and order", (_WORD,)),
+    _Command("weyl-straight", _weyl_straight, "power lengths and straightness up to n",
+             (_WORD, _int("--n")), bounded=True),
+    _Command("roots", _roots, "positive real roots up to a height",
+             (_int("--max-height"),
+              _opt("--set", help="also split by support inside this set"), _BUDGET),
+             bounded=True),
+    _Command("conj", _conj, "conjugacy of generator subsets by moves",
+             (_opt("--from", dest="source", required=True),
+              _opt("--to", dest="target", required=True))),
+    _Command("closure", _closure, "bounded parabolic-closure search",
+             (_WORD, _int("--depth"), _BUDGET), bounded=True),
+    _Command("jregular", _jregular, "bounded regular-element search",
+             (_opt("--set", required=True), _int("--max-len"), _int("--n"),
+              _int("--max-height"), _int("--depth"), _BUDGET), bounded=True),
+    _Command("catalog", _catalog, "bundled example matrices",
+             (_opt("name", nargs="?", help="entry to print (omit to list)"),),
+             reads_gcm=False),
+)
+
+_GROUP_HELP = {"weyl": "element arithmetic"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -580,93 +455,57 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Combinatorial invariants of a generalized Cartan matrix",
     )
     parser.add_argument("--version", action="version", version=f"km {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_, with_gcm=True):
-        p = sub.add_parser(name, help=help_)
-        if with_gcm:
+    subparsers = {"": parser.add_subparsers(dest="command", required=True)}
+    for command in COMMANDS:
+        group, _, leaf = command.name.rpartition("-")
+        if group not in subparsers:
+            parent = subparsers[""].add_parser(group, help=_GROUP_HELP[group])
+            subparsers[group] = parent.add_subparsers(
+                dest=f"{group}_command", required=True
+            )
+        p = subparsers[group].add_parser(leaf, help=command.help)
+        if command.reads_gcm:
             p.add_argument("gcm", help="matrix file (JSON or plain rows; - for stdin)")
-        p.set_defaults(handler=handler)
-        return p
-
-    add("validate", _cmd_validate, "check the matrix axioms")
-    add("classify", _cmd_classify, "finite/affine/indefinite per component")
-    add("coxeter", _cmd_coxeter, "Coxeter matrix and derived graphs")
-
-    p = add("decompose", _cmd_decompose, "spherical/essential/perp split of a set")
-    p.add_argument("--set", required=True, help="1-based comma-separated indices")
-
-    p = add("poset", _cmd_poset, "commensurability classes of open subgroups")
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-
-    p = add("nerve", _cmd_nerve, "complex of finite-type subsets")
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-
-    add("ends", _cmd_ends, "number-of-ends verdicts")
-
-    p = add("indec", _cmd_indec, "local indecomposability over F_q")
-    p.add_argument("--q", type=int, required=True, help="prime power")
-
-    p = add("report", _cmd_report, "full structure report")
-    p.add_argument("--q", type=int, required=True, help="prime power")
-
-    weyl = sub.add_parser("weyl", help="element arithmetic")
-    weyl_sub = weyl.add_subparsers(dest="weyl_command", required=True)
-    for name in ("word", "straight"):
-        p = weyl_sub.add_parser(name)
-        p.add_argument("gcm")
-        p.add_argument("--word", required=True, help="1-based comma-separated letters")
-        if name == "straight":
-            p.add_argument("--n", type=int, required=True)
-        p.set_defaults(handler=_cmd_weyl)
-
-    p = add("roots", _cmd_roots, "positive real roots up to a height")
-    p.add_argument("--max-height", type=int, required=True)
-    p.add_argument("--set", help="also split by support inside this set")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-
-    p = add("conj", _cmd_conj, "conjugacy of generator subsets by moves")
-    p.add_argument("--from", dest="source", required=True)
-    p.add_argument("--to", dest="target", required=True)
-
-    p = add("closure", _cmd_closure, "bounded parabolic-closure search")
-    p.add_argument("--word", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-
-    p = add("jregular", _cmd_jregular, "bounded regular-element search")
-    p.add_argument("--set", required=True)
-    p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-height", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-
-    p = add("catalog", _cmd_catalog, "bundled example matrices", with_gcm=False)
-    p.add_argument("name", nargs="?", help="entry to print (omit to list)")
-
+        for flag, options in command.options:
+            p.add_argument(flag, **options)
+        p.set_defaults(spec=command)
     return parser
 
 
+def _run(command: _Command, args) -> None:
+    gcm = _read_gcm(args.gcm) if command.reads_gcm else None
+    result = command.handler(gcm, args)
+    if isinstance(result, str):
+        sys.stdout.write(result)
+        return
+    parameters, payload = result
+    doc = {
+        "tool": {"name": "km", "version": __version__},
+        "command": command.name,
+        "input": {
+            "labels": None if gcm is None else gcm.labels,
+            "matrix": None if gcm is None else gcm.entries,
+        },
+        "parameters": parameters,
+        "payload": payload,
+        "warnings": [_BOUNDED_NOTE] if command.bounded else [],
+    }
+    sys.stdout.write(json.dumps(_wire(doc), indent=2, sort_keys=True) + "\n")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        _run(args.spec, args)
+        return 0
     except BudgetExceededError as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
         return 3
     except GcmValidationError as exc:
         print(f"error: {exc.describe()}: {exc}", file=sys.stderr)
         return 2
-    except (
-        InputError,
-        NotSphericalError,
-        NotEssentialError,
-        NotPrimePowerError,
-        ComponentNotSphericalError,
-        IndexError,
-    ) as exc:
+    except (InputError, NotSphericalError, NotEssentialError, NotPrimePowerError,
+            ComponentNotSphericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from collections.abc import Iterable, Sequence
 
-from .gcm import GeneralizedCartanMatrix
+from .gcm import GeneralizedCartanMatrix, graph_components
 
 INFINITE = math.inf
 
@@ -43,10 +43,6 @@ class FiniteTypeInfo:
     name: str
     order: int
     positive_roots: int
-
-
-def _factorial(n: int) -> int:
-    return math.factorial(n)
 
 
 @dataclass(frozen=True)
@@ -126,26 +122,28 @@ class CoxeterDiagram:
             if self.orders[i][j] != INFINITE
         )
 
+    # same rendering as the matrix's: "{" + comma-joined labels + "}"
+    label_set = GeneralizedCartanMatrix.label_set
+
+    def parabolic_name(self, subset: frozenset[int]) -> str:
+        """Display name of the standard parabolic subgroup of ``subset``:
+        B (Borel) when empty, G when it is every generator, else P_{...}."""
+        if not subset:
+            return "B"
+        if subset == frozenset(self.index_set):
+            return "G"
+        return f"P_{self.label_set(subset)}"
+
+    @cached_property
+    def _defining_neighbours(self) -> tuple[frozenset[int], ...]:
+        return tuple(
+            frozenset(j for j, m in enumerate(row) if m >= 3) for row in self.orders
+        )
+
     def components(self, subset: Iterable[int] | None = None) -> tuple[frozenset[int], ...]:
         """Connected components of the defining graph restricted to ``subset``."""
-        verts = sorted(subset) if subset is not None else list(range(self.rank))
-        vset = set(verts)
-        seen: set[int] = set()
-        out = []
-        for start in verts:
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                i = stack.pop()
-                for j in vset:
-                    if j not in comp and self.orders[i][j] >= 3:
-                        comp.add(j)
-                        stack.append(j)
-            seen |= comp
-            out.append(frozenset(comp))
-        return tuple(sorted(out, key=min))
+        vertices = self.index_set if subset is None else subset
+        return graph_components(vertices, self._defining_neighbours)
 
     def spherical_type(self, component: Iterable[int]) -> FiniteTypeInfo | None:
         """Finite-type classification of one connected sub-diagram.
@@ -206,7 +204,7 @@ class CoxeterDiagram:
             legs.sort()
             if legs[:2] == [1, 1]:
                 return FiniteTypeInfo(
-                    f"D{n}", 2 ** (n - 1) * _factorial(n), n * (n - 1)
+                    f"D{n}", 2 ** (n - 1) * math.factorial(n), n * (n - 1)
                 )
             if legs == [1, 2, 2]:
                 return FiniteTypeInfo("E6", 51840, 36)
@@ -227,7 +225,7 @@ class CoxeterDiagram:
             path.append(nxt)
         if not heavy:
             return FiniteTypeInfo(
-                f"A{n}", _factorial(n + 1), n * (n + 1) // 2
+                f"A{n}", math.factorial(n + 1), n * (n + 1) // 2
             )
         if len(heavy) > 1:
             return None
@@ -239,7 +237,7 @@ class CoxeterDiagram:
         terminal = pos in (0, n - 2)
         if m == 4:
             if terminal:
-                return FiniteTypeInfo(f"B{n}", 2**n * _factorial(n), n * n)
+                return FiniteTypeInfo(f"B{n}", 2**n * math.factorial(n), n * n)
             if n == 4:
                 return FiniteTypeInfo("F4", 1152, 24)
             return None
@@ -351,8 +349,12 @@ class Nerve:
     rank: int
     simplices: tuple[frozenset[int], ...]
 
+    @cached_property
+    def _members(self) -> frozenset[frozenset[int]]:
+        return frozenset(self.simplices)
+
     def __contains__(self, subset: Iterable[int]) -> bool:
-        return frozenset(subset) in set(self.simplices)
+        return frozenset(subset) in self._members
 
     def by_dimension(self) -> dict[int, int]:
         counts: dict[int, int] = {}
@@ -399,22 +401,6 @@ def coxeter_matrix(gcm: GeneralizedCartanMatrix) -> CoxeterDiagram:
     return CoxeterDiagram(orders=orders, labels=gcm.labels)
 
 
-def _connected(vertices: set[int], adjacent) -> bool:
-    # empty and singleton vertex sets count as connected
-    if len(vertices) <= 1:
-        return True
-    verts = sorted(vertices)
-    seen = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        i = stack.pop()
-        for j in vertices:
-            if j not in seen and adjacent(i, j):
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == len(vertices)
-
-
 @dataclass(frozen=True)
 class StrongConnectivity:
     """Outcome of a strong-connectivity check.
@@ -431,12 +417,14 @@ class StrongConnectivity:
 
 def graph_strong_connectivity(diagram: CoxeterDiagram) -> StrongConnectivity:
     """Connectivity of the finite-order graph after deleting any spherical set."""
-    def adjacent(i: int, j: int) -> bool:
-        return diagram.orders[i][j] != INFINITE
-
-    all_vertices = set(range(diagram.rank))
+    neighbours = [
+        frozenset(j for j, m in enumerate(row) if m != INFINITE)
+        for row in diagram.orders
+    ]
+    all_vertices = frozenset(diagram.index_set)
     for subset in (frozenset(),) + diagram._spherical_subsets:
-        if not _connected(all_vertices - subset, adjacent):
+        # the empty graph and a single vertex count as connected
+        if len(graph_components(all_vertices - subset, neighbours)) > 1:
             return StrongConnectivity(False, subset)
     return StrongConnectivity(True, None)
 

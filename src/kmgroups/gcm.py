@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 
 from ._intmat import Matrix, det, freeze
 
@@ -149,23 +149,36 @@ def components(gcm: GeneralizedCartanMatrix) -> tuple[frozenset[int], ...]:
     >>> [sorted(c) for c in components(g)]
     [[0, 2], [1]]
     """
-    n = gcm.rank
-    seen: set[int] = set()
+    neighbours = [frozenset(j for j, a in enumerate(row) if a) for row in gcm.entries]
+    return graph_components(gcm.index_set, neighbours)
+
+
+def graph_components(
+    vertices: Iterable[int], neighbours: Sequence[Collection[int]]
+) -> tuple[frozenset[int], ...]:
+    """Connected components of the graph induced on ``vertices``.
+
+    ``neighbours[i]`` holds the vertices adjacent to i (i itself may be
+    listed).  Returned sorted by smallest member.
+
+    >>> graph_components({0, 1, 3}, [{1}, {0, 2}, {1, 3}, {2}])
+    (frozenset({0, 1}), frozenset({3}))
+    """
+    left = set(vertices)
     out = []
-    for start in range(n):
-        if start in seen:
+    for start in sorted(left):
+        if start not in left:
             continue
-        comp = {start}
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for j in range(n):
-                if j not in comp and gcm.entries[i][j] != 0:
-                    comp.add(j)
-                    queue.append(j)
-        seen |= comp
+        left.discard(start)
+        comp = [start]
+        stack = [start]
+        while stack:
+            found = left.intersection(neighbours[stack.pop()])
+            left -= found
+            comp += found
+            stack += found
         out.append(frozenset(comp))
-    return tuple(sorted(out, key=min))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

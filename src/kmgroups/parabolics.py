@@ -10,6 +10,7 @@ inclusion of essential parts.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from collections.abc import Iterable
 
@@ -43,15 +44,27 @@ class MoveVerificationError(RuntimeError):
     """Conjugation by a move element did not land on generator matrices."""
 
 
+def all_subsets(base: Iterable[int]) -> list[frozenset[int]]:
+    """Every subset of ``base``, sorted by size then members.
+
+    >>> [sorted(s) for s in all_subsets({2, 0})]
+    [[], [0], [2], [0, 2]]
+    """
+    members = sorted(base)
+    return [
+        frozenset(c)
+        for size in range(len(members) + 1)
+        for c in itertools.combinations(members, size)
+    ]
+
+
 def essential_subsets(diagram: CoxeterDiagram) -> tuple[frozenset[int], ...]:
     """All essential subsets (the empty set included), sorted by size then members."""
-    out = []
-    n = diagram.rank
-    for bits in range(1 << n):
-        subset = frozenset(i for i in range(n) if bits >> i & 1)
-        if diagram.decompose(subset).essential_part == subset:
-            out.append(subset)
-    return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
+    return tuple(
+        s
+        for s in all_subsets(diagram.index_set)
+        if diagram.decompose(s).essential_part == s
+    )
 
 
 class Comparison(enum.Enum):
@@ -106,18 +119,10 @@ class EssentialPoset:
         return cls(diagram=diagram, elements=elements, hasse=tuple(sorted(covers)))
 
     def class_label(self, subset: frozenset[int]) -> str:
-        return f"[W_{self.diagram_label(subset)}]"
+        return f"[W_{self.diagram.label_set(subset)}]"
 
     def representative(self, subset: frozenset[int]) -> str:
-        if not subset:
-            return "B"
-        if subset == frozenset(range(self.diagram.rank)):
-            return "G"
-        return f"P_{self.diagram_label(subset)}"
-
-    def diagram_label(self, subset: frozenset[int]) -> str:
-        inside = ",".join(self.diagram.labels[i] for i in sorted(subset))
-        return "{" + inside + "}"
+        return self.diagram.parabolic_name(subset)
 
     @property
     def maximum(self) -> frozenset[int]:

@@ -11,9 +11,9 @@ exhaustive up to H.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
-from .weyl import DEFAULT_BUDGET, BudgetExceededError, WeylElement, WeylGroup
+from .weyl import DEFAULT_BUDGET, BudgetExceededError, WeylElement, WeylGroup, root_sign
 
 
 class MissingWitnessError(ValueError):
@@ -41,18 +41,13 @@ class RealRoot:
 
     @property
     def is_positive(self) -> bool:
-        return all(c >= 0 for c in self.coords) and any(c > 0 for c in self.coords)
+        try:
+            return root_sign(self.coords) > 0
+        except RuntimeError:  # mixed signs: not a root at all
+            return False
 
     def __repr__(self) -> str:
         return f"RealRoot({self.coords})"
-
-
-def _sign_or_raise(coords: Sequence[int]) -> int:
-    if all(c >= 0 for c in coords) and any(c > 0 for c in coords):
-        return 1
-    if all(c <= 0 for c in coords) and any(c < 0 for c in coords):
-        return -1
-    raise RuntimeError(f"sign dichotomy violated for root image {tuple(coords)}")
 
 
 def positive_real_roots(
@@ -91,7 +86,7 @@ def positive_real_roots(
             new = list(root.coords)
             new[k] -= pairing
             new_coords = tuple(new)
-            if _sign_or_raise(new_coords) < 0:
+            if root_sign(new_coords) < 0:
                 continue
             if sum(new_coords) > max_height or new_coords in seen:
                 continue

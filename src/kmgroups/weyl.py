@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import cached_property
 from collections.abc import Iterable, Sequence
 
-from ._intmat import Matrix, identity, mat_mul, mat_vec
+from ._intmat import Matrix, column, identity, mat_mul, mat_vec
 from .coxeter import CoxeterDiagram, coxeter_matrix
 from .gcm import GeneralizedCartanMatrix
 
@@ -36,22 +36,19 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"{what} exceeded the element budget of {budget}")
 
 
-def _column_sign(rows: Matrix, j: int) -> int:
-    """Sign of the root in column j: +1 if positive, -1 if negative.
+def root_sign(coords: Sequence[int]) -> int:
+    """Sign of a real root in simple-root coordinates: +1 or -1.
 
-    Real roots are totally positive or totally negative in simple-root
-    coordinates; a mixed-sign column means the arithmetic went wrong, which
-    is treated as an internal error, never silently.
+    Real roots are totally positive or totally negative; a mixed-sign (or
+    zero) vector means the arithmetic went wrong, which is treated as an
+    internal error, never silently.
     """
-    col = [row[j] for row in rows]
-    if all(c >= 0 for c in col) and any(c > 0 for c in col):
+    lo, hi = min(coords), max(coords)
+    if lo >= 0 and hi > 0:
         return 1
-    if all(c <= 0 for c in col) and any(c < 0 for c in col):
+    if hi <= 0 and lo < 0:
         return -1
-    raise RuntimeError(
-        f"sign dichotomy violated in column {j}: {col}; "
-        "matrix is not a Weyl element"
-    )
+    raise RuntimeError(f"sign dichotomy violated for {tuple(coords)}: not a real root")
 
 
 class WeylGroup:
@@ -161,11 +158,11 @@ class WeylGroup:
         _, positive = self.diagram.finite_group_order(subset)  # NotSphericalError
         rows = self._identity_rows
         for _ in range(positive):
-            k = next((k for k in subset if _column_sign(rows, k) > 0), None)
+            k = next((k for k in subset if root_sign(column(rows, k)) > 0), None)
             if k is None:
                 raise RuntimeError("longest-element climb stopped early")
             rows = self._right_mul_gen(rows, k)
-        if any(_column_sign(rows, k) > 0 for k in subset):
+        if any(root_sign(column(rows, k)) > 0 for k in subset):
             raise RuntimeError("longest-element climb did not terminate")
         return WeylElement(self, rows)
 
@@ -233,9 +230,7 @@ class WeylElement:
 
     def right_descents(self) -> tuple[int, ...]:
         """Generators i with length(w s_i) < length(w)."""
-        return tuple(
-            i for i in range(self.group.rank) if _column_sign(self.rows, i) < 0
-        )
+        return tuple(i for i, col in enumerate(zip(*self.rows)) if root_sign(col) < 0)
 
     def reduced_word(self, tie_break: str = "smallest") -> tuple[int, ...]:
         """A reduced word recovered by descent peeling.
@@ -251,9 +246,7 @@ class WeylElement:
         cur = self.rows
         group = self.group
         while cur != group._identity_rows:
-            descents = [
-                k for k in range(group.rank) if _column_sign(cur, k) < 0
-            ]
+            descents = [k for k, col in enumerate(zip(*cur)) if root_sign(col) < 0]
             if not descents:
                 raise RuntimeError("nonidentity element with no descent")
             k = pick(descents)

@@ -30,13 +30,14 @@ def catalog_paths(tmp_path_factory):
     return out
 
 
-def run_km(*args, stdin=None):
+def run_km(*args, stdin=None, timeout=None):
     """Run the CLI in a subprocess; returns CompletedProcess with text IO."""
     return subprocess.run(
         [sys.executable, "-m", "kmgroups.cli", *args],
         input=stdin,
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 

@@ -39,6 +39,23 @@ class TestPrimePower:
             prime_power(q)
         assert exc.value.q == q
 
+    def test_matches_naive_trial_division(self):
+        def naive(q):
+            p = next(d for d in range(2, q + 1) if q % d == 0)
+            e, rest = 0, q
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            return (p, e) if rest == 1 else None
+
+        for q in range(2, 3001):
+            expected = naive(q)
+            if expected is None:
+                with pytest.raises(NotPrimePowerError):
+                    prime_power(q)
+            else:
+                assert prime_power(q) == expected, q
+
 
 class TestEndsVerdict:
     def test_finite_type_is_not_one_ended(self):

@@ -156,6 +156,27 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "not essential" in proc.stderr
 
+    def test_engine_index_error_is_internal_exit_1(
+        self, catalog_paths, monkeypatch, capsys
+    ):
+        # letters and indices are range-checked on input, so an IndexError
+        # that reaches main is a bug in the engine, not bad input
+        from kmgroups import cli
+
+        def broken(gcm):
+            raise IndexError("engine bug")
+
+        monkeypatch.setattr(cli, "classify", broken)
+        assert cli.main(["classify", catalog_paths["finite_a2"]]) == 1
+        assert "internal error" in capsys.readouterr().err
+
+    def test_large_prime_q_is_decided_quickly(self, catalog_paths):
+        proc = run_km(
+            "indec", catalog_paths["finite_a2"], "--q", "1000000007", timeout=20
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["payload"]["p"] == 1000000007
+
     def test_unknown_catalog_entry_is_exit_2(self):
         proc = run_km("catalog", "no_such_entry")
         assert proc.returncode == 2
