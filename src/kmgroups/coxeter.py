@@ -19,13 +19,43 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
+from typing import TYPE_CHECKING
 
-from .gcm import GeneralizedCartanMatrix, graph_components
+if TYPE_CHECKING:
+    from .gcm import GeneralizedCartanMatrix
 
 INFINITE = math.inf
 
 _ORDER_BY_PRODUCT = {0: 2, 1: 3, 2: 4, 3: 6}
+
+
+def graph_components(
+    vertices: Iterable[int], neighbours: Sequence[Collection[int]]
+) -> tuple[frozenset[int], ...]:
+    """Connected components of the graph induced on ``vertices``.
+
+    ``neighbours[i]`` holds the vertices adjacent to i (i itself may be
+    listed).  Returned sorted by smallest member.
+
+    >>> graph_components({0, 1, 3}, [{1}, {0, 2}, {1, 3}, {2}])
+    (frozenset({0, 1}), frozenset({3}))
+    """
+    left = set(vertices)
+    out = []
+    for start in sorted(left):
+        if start not in left:
+            continue
+        left.discard(start)
+        comp = [start]
+        stack = [start]
+        while stack:
+            found = left.intersection(neighbours[stack.pop()])
+            left -= found
+            comp += found
+            stack += found
+        out.append(frozenset(comp))
+    return tuple(out)
 
 
 class NotSphericalError(ValueError):
@@ -122,8 +152,9 @@ class CoxeterDiagram:
             if self.orders[i][j] != INFINITE
         )
 
-    # same rendering as the matrix's: "{" + comma-joined labels + "}"
-    label_set = GeneralizedCartanMatrix.label_set
+    def label_set(self, subset: Iterable[int]) -> str:
+        inside = ",".join(self.labels[i] for i in sorted(subset))
+        return "{" + inside + "}"
 
     def parabolic_name(self, subset: frozenset[int]) -> str:
         """Display name of the standard parabolic subgroup of ``subset``:
@@ -363,10 +394,12 @@ class Nerve:
         return counts
 
     def maximal_simplices(self) -> tuple[frozenset[int], ...]:
+        # closed downwards: s is maximal iff no one-vertex extension is a simplex
+        members = self._members
         return tuple(
             s
             for s in self.simplices
-            if not any(s < t for t in self.simplices)
+            if not any(i not in s and s | {i} in members for i in range(self.rank))
         )
 
     def face_hasse_edges(self) -> tuple[tuple[int, int], ...]:
@@ -384,6 +417,7 @@ class Nerve:
 def coxeter_matrix(gcm: GeneralizedCartanMatrix) -> CoxeterDiagram:
     """The Coxeter diagram of a GCM (products 0,1,2,3 map to 2,3,4,6; else inf).
 
+    >>> from .gcm import GeneralizedCartanMatrix
     >>> d = coxeter_matrix(GeneralizedCartanMatrix.from_rows([[2, -1], [-3, 2]]))
     >>> d.order(0, 1)
     6
@@ -437,32 +471,18 @@ def nerve_strong_connectivity(nerve: Nerve) -> StrongConnectivity:
     """Connectivity of every full subcomplex on the complement of a simplex.
 
     For J empty and for each simplex J of the nerve, take the subcomplex of
-    simplices disjoint from J and test whether it is connected (a complex is
-    connected iff its vertices are joined through shared simplices).
+    simplices disjoint from J and test whether it is connected.  A complex is
+    connected iff its 1-skeleton is, so only the nerve's edges (2-element
+    simplices) avoiding J are followed.
     """
-    simplices = nerve.simplices
-    for subset in (frozenset(),) + simplices:
-        vertices = set(range(nerve.rank)) - subset
-        if len(vertices) <= 1:
-            continue
-        parent = {v: v for v in vertices}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for s in simplices:
-            if s & subset:
-                continue
-            members = sorted(s)
-            for other in members[1:]:
-                ra, rb = find(members[0]), find(other)
-                if ra != rb:
-                    parent[rb] = ra
-        roots = {find(v) for v in vertices}
-        if len(roots) > 1:
+    neighbours: list[set[int]] = [set() for _ in range(nerve.rank)]
+    for a, b in (s for s in nerve.simplices if len(s) == 2):
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    all_vertices = frozenset(range(nerve.rank))
+    for subset in (frozenset(),) + nerve.simplices:
+        # the empty complex and a single vertex count as connected
+        if len(graph_components(all_vertices - subset, neighbours)) > 1:
             return StrongConnectivity(False, subset)
     return StrongConnectivity(True, None)
 

@@ -11,11 +11,11 @@ display-only and never used for identity.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from collections.abc import Collection, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from ._intmat import Matrix, det, freeze
+from .coxeter import CoxeterDiagram, coxeter_matrix
 
 FINITE = "finite"
 AFFINE = "affine"
@@ -135,50 +135,21 @@ class GeneralizedCartanMatrix:
         idx = sorted(subset)
         return tuple(tuple(self.entries[i][j] for j in idx) for i in idx)
 
-    def label_set(self, subset: Iterable[int]) -> str:
-        inside = ",".join(self.labels[i] for i in sorted(subset))
-        return "{" + inside + "}"
+    # same rendering as the diagram's: "{" + comma-joined labels + "}"
+    label_set = CoxeterDiagram.label_set
 
 
 def components(gcm: GeneralizedCartanMatrix) -> tuple[frozenset[int], ...]:
     """Connected components of the index set, joining i and j iff a_ij != 0.
 
-    Returned sorted by smallest member.
+    Since a_ij != 0 iff m_ij >= 3, these are the components of the defining
+    graph of the Coxeter diagram.  Returned sorted by smallest member.
 
     >>> g = GeneralizedCartanMatrix.from_rows([[2, 0, -1], [0, 2, 0], [-1, 0, 2]])
     >>> [sorted(c) for c in components(g)]
     [[0, 2], [1]]
     """
-    neighbours = [frozenset(j for j, a in enumerate(row) if a) for row in gcm.entries]
-    return graph_components(gcm.index_set, neighbours)
-
-
-def graph_components(
-    vertices: Iterable[int], neighbours: Sequence[Collection[int]]
-) -> tuple[frozenset[int], ...]:
-    """Connected components of the graph induced on ``vertices``.
-
-    ``neighbours[i]`` holds the vertices adjacent to i (i itself may be
-    listed).  Returned sorted by smallest member.
-
-    >>> graph_components({0, 1, 3}, [{1}, {0, 2}, {1, 3}, {2}])
-    (frozenset({0, 1}), frozenset({3}))
-    """
-    left = set(vertices)
-    out = []
-    for start in sorted(left):
-        if start not in left:
-            continue
-        left.discard(start)
-        comp = [start]
-        stack = [start]
-        while stack:
-            found = left.intersection(neighbours[stack.pop()])
-            left -= found
-            comp += found
-            stack += found
-        out.append(frozenset(comp))
-    return tuple(out)
+    return coxeter_matrix(gcm).components()
 
 
 @dataclass(frozen=True)
@@ -204,19 +175,16 @@ class GcmTypeVerdict:
         return all(t == FINITE for t in self.types)
 
 
-def _component_type(gcm: GeneralizedCartanMatrix, comp: frozenset[int]) -> str:
-    # Finite iff all principal minors > 0; affine iff det = 0 and all proper
-    # principal minors > 0; indefinite otherwise.  Exact integer determinants.
-    idx = sorted(comp)
-    k = len(idx)
-    full = det([[gcm.entries[i][j] for j in idx] for i in idx])
-    for size in range(1, k):
-        for sub in itertools.combinations(idx, size):
-            if det([[gcm.entries[i][j] for j in sub] for i in sub]) <= 0:
-                return INDEFINITE
-    if full > 0:
+def _component_type(
+    gcm: GeneralizedCartanMatrix, diagram: CoxeterDiagram, comp: frozenset[int]
+) -> str:
+    # Kac, ch. 4: an indecomposable A is finite iff W is finite, and affine iff
+    # det A = 0 and every proper principal submatrix is finite.  Sphericity is
+    # closed under subsets, so checking the maximal proper subsets suffices;
+    # the one determinant is only taken when all of them are spherical.
+    if diagram.is_spherical(comp):
         return FINITE
-    if full == 0:
+    if all(diagram.is_spherical(comp - {i}) for i in comp) and det(gcm.submatrix(comp)) == 0:
         return AFFINE
     return INDEFINITE
 
@@ -231,8 +199,9 @@ def classify(gcm: GeneralizedCartanMatrix) -> GcmTypeVerdict:
     >>> classify(GeneralizedCartanMatrix.from_rows([[2, -3], [-3, 2]])).types
     ('indefinite',)
     """
-    comps = components(gcm)
-    types = tuple(_component_type(gcm, c) for c in comps)
+    diagram = coxeter_matrix(gcm)
+    comps = diagram.components()
+    types = tuple(_component_type(gcm, diagram, c) for c in comps)
     return GcmTypeVerdict(components=comps, types=types, indecomposable=len(comps) == 1)
 
 

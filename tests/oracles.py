@@ -245,6 +245,59 @@ def is_connected(vertices, edges):
     return len(comps) == 1
 
 
+def nerve_connectivity(simplices):
+    """First failing J of the strong-connectivity test, or None.
+
+    ``simplices`` is a list of vertex sets closed downwards.  J runs over the
+    empty set and then every simplex by (size, members); J fails when the
+    vertices outside J are not joined through the simplices disjoint from J.
+    Every simplex is read for every J, so this is quadratic in the nerve.
+    """
+    simplices = sorted(
+        {frozenset(s) for s in simplices}, key=lambda s: (len(s), sorted(s))
+    )
+    vertices = sorted(set().union(*simplices))
+    for banned in [frozenset()] + simplices:
+        edges = [
+            pair
+            for s in simplices
+            if not s & banned
+            for pair in itertools.combinations(sorted(s), 2)
+        ]
+        if not is_connected([v for v in vertices if v not in banned], edges):
+            return banned
+    return None
+
+
+def maximal_sets(sets):
+    """The sets not strictly inside another one, in input order.
+
+    >>> maximal_sets([{0}, {1}, {0, 1}, {2}])
+    [frozenset({0, 1}), frozenset({2})]
+    """
+    sets = [frozenset(s) for s in sets]
+    return [s for s in sets if not any(s < t for t in sets)]
+
+
+# ---------------------------------------------------------------------------
+# Seeded random inputs.
+
+
+def random_gcm(rng, n, density, deepest):
+    """Rows of a random rank-n GCM from a ``random.Random``.
+
+    Each pair i < j is bonded with probability ``density``; a bond draws
+    a_ij and a_ji independently from -1 .. -``deepest``.
+    """
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                rows[i][j] = -rng.randint(1, deepest)
+                rows[j][i] = -rng.randint(1, deepest)
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Canonical keys for memoising finiteness checks across isomorphic diagrams.
 

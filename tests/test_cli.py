@@ -23,6 +23,15 @@ def envelope_schema():
     return schema
 
 
+def finite_a_text(n):
+    """Plain-rows text of the Cartan matrix of type A_n."""
+    return "".join(
+        " ".join("2" if i == j else "-1" if abs(i - j) == 1 else "0" for j in range(n))
+        + "\n"
+        for i in range(n)
+    )
+
+
 class TestInputParsing:
     def test_json_object(self):
         g = parse_gcm_text('{"matrix": [[2, -1], [-1, 2]], "labels": ["x", "y"]}')
@@ -176,6 +185,19 @@ class TestExitCodes:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["payload"]["p"] == 1000000007
+
+    def test_classify_of_finite_a18_is_quick(self):
+        proc = run_km("classify", "-", stdin=finite_a_text(18), timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["payload"]["components"][0]["type"] == "finite"
+
+    def test_ends_of_finite_a14_is_quick(self):
+        proc = run_km("ends", "-", stdin=finite_a_text(14), timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)["payload"]
+        assert payload["weyl_infinite"] is False
+        assert payload["one_ended"] is False
+        assert payload["nerve_agreement"] is True
 
     def test_unknown_catalog_entry_is_exit_2(self):
         proc = run_km("catalog", "no_such_entry")

@@ -356,14 +356,38 @@ class TestStrongConnectivity:
     def test_two_criteria_agree_on_random_matrices(self):
         rng = random.Random(20260814)
         for _ in range(60):
-            n = rng.randrange(2, 6)
-            rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if rng.random() < 0.6:
-                        rows[i][j] = -rng.randrange(1, 4)
-                        rows[j][i] = -rng.randrange(1, 4)
+            rows = oracles.random_gcm(rng, rng.randrange(2, 6), density=0.6, deepest=3)
             d = diagram(rows)
             assert strongly_connected_graph(d) == strongly_connected_nerve(
                 d.nerve()
+            ), rows
+
+    def test_nerve_route_matches_all_simplices_oracle(self, catalog_gcms):
+        rng = random.Random(20261018)
+        matrices = [g.entries for g in catalog_gcms.values()] + [
+            oracles.random_gcm(rng, rng.randint(2, 6), density=0.5, deepest=2)
+            for _ in range(80)
+        ]
+        failing = 0
+        for rows in matrices:
+            nerve = diagram(rows).nerve()
+            res = nerve_strong_connectivity(nerve)
+            expected = oracles.nerve_connectivity(list(nerve.simplices))
+            assert res.failing_subset == expected, rows
+            assert res.strongly_connected == (expected is None)
+            failing += expected is not None and len(expected) > 0
+        assert failing  # some verdicts come from a nonempty J
+
+
+class TestMaximalSimplices:
+    def test_matches_quadratic_filter(self, catalog_gcms):
+        rng = random.Random(20261019)
+        matrices = [g.entries for g in catalog_gcms.values()] + [
+            oracles.random_gcm(rng, rng.randint(1, 7), density=0.4, deepest=2)
+            for _ in range(60)
+        ]
+        for rows in matrices:
+            nerve = diagram(rows).nerve()
+            assert list(nerve.maximal_simplices()) == oracles.maximal_sets(
+                nerve.simplices
             ), rows

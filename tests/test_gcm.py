@@ -1,6 +1,7 @@
 """Matrix validation and exact type classification."""
 
 import itertools
+import random
 
 import pytest
 
@@ -164,18 +165,39 @@ class TestClassify:
             verdict.type_of(5)
 
     def test_matches_minor_oracle_exhaustively_rank3(self):
-        # every indecomposable rank-3 GCM with entries in {0,-1,-2}
-        values = (0, -1, -2)
-        for a, b, c, d, e, f in itertools.product(values, repeat=6):
-            rows = [[2, a, b], [c, 2, d], [e, f, 2]]
-            try:
-                g = GeneralizedCartanMatrix.from_rows(rows)
-            except GcmValidationError:
-                continue
-            verdict = classify(g)
-            if not verdict.indecomposable:
-                continue
-            assert verdict.types[0] == oracles.trichotomy(rows), rows
+        # every rank-3 GCM whose three bonds (a_ij, a_ji) are any of the
+        # bond pairs below: products 0, 1, 2, 3, 4, 6 and 9
+        for bonds in itertools.product(BOND_PAIRS, repeat=3):
+            (a, c), (b, e), (d, f) = bonds
+            assert_matches_minor_oracle([[2, a, b], [c, 2, d], [e, f, 2]])
+
+    def test_matches_minor_oracle_on_random_ranks_4_to_8(self):
+        rng = random.Random(20261018)
+        seen = set()
+        for _ in range(120):
+            n = rng.randint(4, 8)
+            rows = oracles.random_gcm(rng, n, density=0.3, deepest=2)
+            seen.update(assert_matches_minor_oracle(rows))
+        for n in range(4, 9):  # the affine cycles
+            rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+            for i in range(n):
+                rows[i][(i + 1) % n] = rows[(i + 1) % n][i] = -1
+            seen.update(assert_matches_minor_oracle(rows))
+        assert seen == {FINITE, AFFINE, INDEFINITE}
+
+
+BOND_PAIRS = [(0, 0), (-1, -4), (-4, -1)] + [
+    (a, b) for a in (-1, -2, -3) for b in (-1, -2, -3)
+]
+
+
+def assert_matches_minor_oracle(rows):
+    """Check each component's type against the principal-minor oracle."""
+    verdict = classify(GeneralizedCartanMatrix.from_rows(rows))
+    for comp, typ in zip(verdict.components, verdict.types):
+        sub = [[rows[i][j] for j in sorted(comp)] for i in sorted(comp)]
+        assert typ == oracles.trichotomy(sub), (rows, sorted(comp))
+    return verdict.types
 
 
 class TestScalars:
