@@ -209,6 +209,7 @@ def open_subgroup_report(gcm: GeneralizedCartanMatrix) -> OpenSubgroupReport:
     full = frozenset(range(diagram.rank))
     classes = []
     for subset in poset.elements:
+        representative = poset.representative(subset)
         if not subset:
             description = "compact open subgroups"
         elif subset == full:
@@ -216,13 +217,13 @@ def open_subgroup_report(gcm: GeneralizedCartanMatrix) -> OpenSubgroupReport:
         else:
             description = (
                 "open subgroups commensurable with a conjugate of "
-                + poset.representative(subset)
+                + representative
             )
         classes.append(
             OpenSubgroupClass(
                 subset=subset,
                 class_label=poset.class_label(subset),
-                representative=poset.representative(subset),
+                representative=representative,
                 description=description,
             )
         )
@@ -275,8 +276,10 @@ def locally_normal_report(gcm: GeneralizedCartanMatrix) -> StructureReport:
     diagram = coxeter_matrix(gcm)
     essential = essential_nonempty(diagram)
     records = []
+    compact_or_open = True
     for subset in essential:
         perp = diagram.decompose(subset).perp
+        compact_or_open = compact_or_open and diagram.is_spherical(perp)
         for extra in all_subsets(perp):
             if not diagram.is_spherical(extra):
                 continue
@@ -299,10 +302,6 @@ def locally_normal_report(gcm: GeneralizedCartanMatrix) -> StructureReport:
                     ),
                 )
             )
-    compact_or_open = all(
-        diagram.is_spherical(diagram.decompose(subset).perp)
-        for subset in essential
-    )
     return StructureReport(
         sandwiches=tuple(records),
         compact_or_open=compact_or_open,

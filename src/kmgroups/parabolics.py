@@ -104,19 +104,40 @@ class EssentialPoset:
 
     @classmethod
     def build(cls, diagram: CoxeterDiagram) -> "EssentialPoset":
+        """The essential subsets with their Hasse covers.
+
+        The covers of an element are its minimal essential strict supersets.
+        The elements must be sorted by size (``essential_subsets`` does so),
+        so every strict superset of an element comes after it.  A later b
+        that contains a is a cover of a unless it contains a cover of a
+        already found: a set strictly between a and b contains a cover of a,
+        which is smaller than b and so was found first.  The pairs come out
+        sorted.
+
+        >>> from kmgroups import GeneralizedCartanMatrix, coxeter_matrix
+        >>> rows = [[2, -2, -2], [-2, 2, -2], [-2, -2, 2]]
+        >>> poset = EssentialPoset.build(
+        ...     coxeter_matrix(GeneralizedCartanMatrix.from_rows(rows)))
+        >>> len(poset.elements)
+        5
+        >>> poset.hasse
+        ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4))
+        """
         elements = essential_subsets(diagram)
+        masks = [sum(1 << i for i in s) for s in elements]
         covers = []
-        for a, small in enumerate(elements):
-            for b, large in enumerate(elements):
-                if not (small < large):
+        for a, small in enumerate(masks):
+            found: list[int] = []
+            for b, large in enumerate(masks[a + 1:], a + 1):
+                if large & small != small:
                     continue
-                if any(
-                    small < mid < large
-                    for mid in elements
-                ):
-                    continue
-                covers.append((a, b))
-        return cls(diagram=diagram, elements=elements, hasse=tuple(sorted(covers)))
+                for cover in found:
+                    if cover & large == cover:
+                        break
+                else:
+                    found.append(large)
+                    covers.append((a, b))
+        return cls(diagram=diagram, elements=elements, hasse=tuple(covers))
 
     def class_label(self, subset: frozenset[int]) -> str:
         return f"[W_{self.diagram.label_set(subset)}]"

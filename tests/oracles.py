@@ -279,6 +279,27 @@ def maximal_sets(sets):
     return [s for s in sets if not any(s < t for t in sets)]
 
 
+def hasse_covers(sets):
+    """Sorted index pairs (a, b) where sets[b] covers sets[a] under inclusion.
+
+    Every pair is tried against every possible middle set, so this is cubic
+    in the number of sets.
+
+    >>> hasse_covers([set(), {0}, {0, 1}, {1}])
+    [(0, 1), (0, 3), (1, 2), (3, 2)]
+    """
+    sets = [frozenset(s) for s in sets]
+    covers = []
+    for a, small in enumerate(sets):
+        for b, large in enumerate(sets):
+            if not (small < large):
+                continue
+            if any(small < mid < large for mid in sets):
+                continue
+            covers.append((a, b))
+    return sorted(covers)
+
+
 # ---------------------------------------------------------------------------
 # Seeded random inputs.
 

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: envelopes, schema conformance, exit codes, goldens."""
 
 import json
+import math
 from importlib import resources
 
 import jsonschema
@@ -198,6 +199,20 @@ class TestExitCodes:
         assert payload["weyl_infinite"] is False
         assert payload["one_ended"] is False
         assert payload["nerve_agreement"] is True
+
+    def test_report_of_complete_rank12_is_quick(self):
+        n = 12
+        text = "".join(
+            " ".join("2" if i == j else "-2" for j in range(n)) + "\n"
+            for i in range(n)
+        )
+        proc = run_km("report", "-", "--q", "2", stdin=text, timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        poset = json.loads(proc.stdout)["payload"]["open_subgroup_classes"]
+        assert len(poset["classes"]) == 2**n - n == 4084
+        assert len(poset["hasse"]) == math.comb(n, 2) + sum(
+            k * math.comb(n, k) for k in range(3, n + 1)
+        )
 
     def test_unknown_catalog_entry_is_exit_2(self):
         proc = run_km("catalog", "no_such_entry")

@@ -9,6 +9,7 @@ import kmgroups._intmat
 import kmgroups.analysis
 import kmgroups.coxeter
 import kmgroups.gcm
+import kmgroups.parabolics
 import kmgroups.roots
 import kmgroups.weyl
 
@@ -17,6 +18,7 @@ MODULES = [
     kmgroups.analysis,
     kmgroups.coxeter,
     kmgroups.gcm,
+    kmgroups.parabolics,
     kmgroups.roots,
     kmgroups.weyl,
 ]

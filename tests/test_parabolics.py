@@ -1,7 +1,12 @@
 """Essential poset, conjugating moves, closure search, regular elements."""
 
+import itertools
+import math
+import random
+
 import pytest
 
+import oracles
 from kmgroups import (
     Comparison,
     ComponentNotSphericalError,
@@ -18,6 +23,7 @@ from kmgroups import (
     parabolic_closure_search,
     standard_conjugacy,
 )
+from test_gcm import BOND_PAIRS
 
 A2 = [[2, -1], [-1, 2]]
 A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
@@ -124,6 +130,41 @@ class TestEssentialPoset:
         assert poset.elements == (frozenset(),)
         assert poset.hasse == ()
         assert poset.maximum == frozenset()
+
+
+def complete(n, c):
+    """Rows of the rank-n GCM with every off-diagonal entry -c."""
+    return [[2 if i == j else -c for j in range(n)] for i in range(n)]
+
+
+class TestHasseCovers:
+    def test_matches_triple_loop_oracle(self, catalog_gcms):
+        rng = random.Random(20261020)
+        matrices = [g.entries for g in catalog_gcms.values()]
+        for bonds in itertools.product(BOND_PAIRS, repeat=3):
+            (a, c), (b, e), (d, f) = bonds
+            matrices.append([[2, a, b], [c, 2, d], [e, f, 2]])
+        matrices += [
+            oracles.random_gcm(rng, rng.randint(4, 8), density=0.5, deepest=3)
+            for _ in range(40)
+        ]
+        matrices += [complete(n, c) for c in (2, 3) for n in range(2, 8)]
+        longest = 0
+        for rows in matrices:
+            poset = EssentialPoset.build(diagram(rows))
+            assert list(poset.hasse) == oracles.hasse_covers(poset.elements), rows
+            longest = max(longest, len(poset.hasse))
+        assert longest > 100  # the sweep reaches posets with many covers
+
+    @pytest.mark.parametrize("c", [2, 3])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_complete_matrix_closed_form(self, n, c):
+        # every set of two or more generators is essential; singletons are not
+        poset = EssentialPoset.build(diagram(complete(n, c)))
+        assert len(poset.elements) == 2**n - n
+        assert len(poset.hasse) == math.comb(n, 2) + sum(
+            k * math.comb(n, k) for k in range(3, n + 1)
+        )
 
 
 class TestDeodharMove:
