@@ -11,10 +11,6 @@ from collections.abc import Sequence
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def freeze(rows: Sequence[Sequence[int]]) -> Matrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
-
-
 def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 

@@ -11,13 +11,12 @@ import math
 from dataclasses import dataclass
 
 from .coxeter import (
-    CoxeterDiagram,
     coxeter_matrix,
     graph_strong_connectivity,
     nerve_strong_connectivity,
 )
 from .gcm import FINITE, GeneralizedCartanMatrix, classify, scalars
-from .parabolics import EssentialPoset, all_subsets, essential_subsets
+from .parabolics import EssentialPoset, essential_subsets
 
 
 class NotPrimePowerError(ValueError):
@@ -132,14 +131,15 @@ def indecomposability_verdict(
     ends = ends_verdict(gcm)
     m = sc.max_abs_offdiag
     q_bound_ok = m <= 1 or (m == 2 and q >= 3) or (m == 3 and q >= 4)
-    checklist = {
-        "indecomposable": verdict.indecomposable,
-        "finite_type": verdict.all_finite,
-        "one_ended": ends.one_ended,
-        "p_gt_max_abs_offdiag": p > m,
-        "two_spherical": sc.two_spherical,
-        "q_bound_ok": q_bound_ok,
+    # each sufficient criterion with its hypotheses, tried in this order
+    criteria = {
+        "criterion_i": {"one_ended": ends.one_ended, "p_gt_max_abs_offdiag": p > m},
+        "criterion_ii": {"two_spherical": sc.two_spherical, "q_bound_ok": q_bound_ok},
     }
+    checklist = {"indecomposable": verdict.indecomposable,
+                 "finite_type": verdict.all_finite}
+    for hypotheses in criteria.values():
+        checklist |= hypotheses
     def result(outcome, by, reasons, applicable=True):
         return IndecomposabilityVerdict(
             q=q, p=p, exponent=e, applicable=applicable, outcome=outcome,
@@ -155,24 +155,13 @@ def indecomposability_verdict(
         )
     if verdict.all_finite:
         return result("locally_indecomposable", "finite_type", [])
-    if ends.one_ended and p > m:
-        return result("locally_indecomposable", "criterion_i", [])
-    if sc.two_spherical and q_bound_ok:
-        return result("locally_indecomposable", "criterion_ii", [])
-    failures = []
-    failed_i = tuple(
-        name
-        for name, ok in (("one_ended", ends.one_ended), ("p_gt_max_abs_offdiag", p > m))
-        if not ok
-    )
-    failures.append(CriterionFailure("criterion_i", failed_i))
-    failed_ii = tuple(
-        name
-        for name, ok in (("two_spherical", sc.two_spherical), ("q_bound_ok", q_bound_ok))
-        if not ok
-    )
-    failures.append(CriterionFailure("criterion_ii", failed_ii))
-    return result("inconclusive", None, failures)
+    for name, hypotheses in criteria.items():
+        if all(hypotheses.values()):
+            return result("locally_indecomposable", name, [])
+    return result("inconclusive", None, [
+        CriterionFailure(name, tuple(h for h, ok in hypotheses.items() if not ok))
+        for name, hypotheses in criteria.items()
+    ])
 
 
 @dataclass(frozen=True)
@@ -274,15 +263,12 @@ def locally_normal_report(gcm: GeneralizedCartanMatrix) -> StructureReport:
     perp-closure of J.
     """
     diagram = coxeter_matrix(gcm)
-    essential = essential_nonempty(diagram)
     records = []
     compact_or_open = True
-    for subset in essential:
+    for subset in essential_subsets(diagram)[1:]:
         perp = diagram.decompose(subset).perp
         compact_or_open = compact_or_open and diagram.is_spherical(perp)
-        for extra in all_subsets(perp):
-            if not diagram.is_spherical(extra):
-                continue
+        for extra in (frozenset(), *diagram.spherical_subsets(perp)):
             union = subset | extra
             name = diagram.parabolic_name(union)
             j_name = diagram.label_set(subset)
@@ -307,7 +293,3 @@ def locally_normal_report(gcm: GeneralizedCartanMatrix) -> StructureReport:
         compact_or_open=compact_or_open,
         symbols=dict(_SYMBOLS),
     )
-
-
-def essential_nonempty(diagram: CoxeterDiagram) -> list[frozenset[int]]:
-    return [s for s in essential_subsets(diagram) if s]

@@ -406,14 +406,21 @@ def _opt(flag: str, **keywords) -> tuple[str, dict]:
     return flag, keywords
 
 
+def _count(text: str) -> int:
+    """An argparse type: a nonnegative integer bound."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
+    return int(text)
+
+
 def _int(flag: str) -> tuple[str, dict]:
-    return _opt(flag, type=int, required=True)
+    return _opt(flag, type=_count, required=True)
 
 
 _FORMAT = _opt("--format", choices=("json", "dot"), default="json")
 _Q = _opt("--q", type=int, required=True, help="prime power")
 _WORD = _opt("--word", required=True, help="1-based comma-separated letters")
-_BUDGET = _opt("--budget", type=int, default=DEFAULT_BUDGET)
+_BUDGET = _opt("--budget", type=_count, default=DEFAULT_BUDGET)
 
 COMMANDS = (
     _Command("validate", _validate, "check the matrix axioms"),

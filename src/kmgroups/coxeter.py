@@ -215,13 +215,13 @@ class CoxeterDiagram:
         branch = [i for i in comp if degree[i] == 3]
         if len(branch) > 1:
             return None
-        adj = {i: [] for i in comp}
-        for i, j in edges:
-            adj[i].append(j)
-            adj[j].append(i)
         if branch:
             if heavy:
                 return None
+            adj = {i: [] for i in comp}
+            for i, j in edges:
+                adj[i].append(j)
+                adj[j].append(i)
             b = branch[0]
             legs = []
             for first in adj[b]:
@@ -244,28 +244,16 @@ class CoxeterDiagram:
             if legs == [1, 2, 4]:
                 return FiniteTypeInfo("E8", 696729600, 120)
             return None
-        # a path: walk it from the smallest endpoint
-        ends = [i for i in comp if degree[i] == 1]
-        start = min(ends)
-        path = [start]
-        prev = None
-        while len(path) < n:
-            cur = path[-1]
-            nxt = next(x for x in adj[cur] if x != prev)
-            prev = cur
-            path.append(nxt)
+        # a path: its one heavy bond is terminal iff it touches an end
         if not heavy:
             return FiniteTypeInfo(
                 f"A{n}", math.factorial(n + 1), n * (n + 1) // 2
             )
         if len(heavy) > 1:
             return None
-        labels_on_path = [
-            int(self.orders[path[k]][path[k + 1]]) for k in range(n - 1)
-        ]
-        pos = next(k for k, m in enumerate(labels_on_path) if m > 3)
-        m = labels_on_path[pos]
-        terminal = pos in (0, n - 2)
+        (i, j), = heavy
+        m = int(self.orders[i][j])
+        terminal = 1 in (degree[i], degree[j])
         if m == 4:
             if terminal:
                 return FiniteTypeInfo(f"B{n}", 2**n * math.factorial(n), n * n)
@@ -308,7 +296,7 @@ class CoxeterDiagram:
         comps = self.components(subset)
         spherical = frozenset().union(
             *[c for c in comps if self.spherical_type(c) is not None]
-        ) if comps else frozenset()
+        )
         essential = subset - spherical
         perp = frozenset(
             i
@@ -318,28 +306,42 @@ class CoxeterDiagram:
         return SubsetDecomposition(
             subset=subset,
             components=comps,
-            spherical_part=frozenset(spherical),
+            spherical_part=spherical,
             essential_part=essential,
             perp=perp,
         )
 
+    def spherical_subsets(self, base: Iterable[int]) -> tuple[frozenset[int], ...]:
+        """The nonempty spherical subsets of ``base``, by size then members.
+
+        Level by level: sphericity is closed under subsets, so only spherical
+        sets are extended, each by the members above its maximum; a sorted
+        level then yields a sorted next level.
+
+        >>> from .gcm import GeneralizedCartanMatrix
+        >>> d = coxeter_matrix(GeneralizedCartanMatrix.from_rows(
+        ...     [[2, -2, 0], [-2, 2, -1], [0, -1, 2]]))
+        >>> [sorted(s) for s in d.spherical_subsets({0, 1, 2})]
+        [[0], [1], [2], [0, 2], [1, 2]]
+        """
+        members = sorted(base)
+        found: list[frozenset[int]] = []
+        # (set, position of its maximum in members)
+        level = [(frozenset([i]), k) for k, i in enumerate(members)]
+        while level:
+            found.extend(s for s, _ in level)
+            nxt = []
+            for simplex, top in level:
+                for k in range(top + 1, len(members)):
+                    cand = simplex | {members[k]}
+                    if self.is_spherical(cand):
+                        nxt.append((cand, k))
+            level = nxt
+        return tuple(found)
+
     @cached_property
     def _spherical_subsets(self) -> tuple[frozenset[int], ...]:
-        # level-wise enumeration; non-spherical sets are never extended,
-        # which is sound because sphericity is closed under subsets
-        found: list[frozenset[int]] = []
-        level = [frozenset([i]) for i in range(self.rank)]
-        while level:
-            found.extend(level)
-            nxt = []
-            for simplex in level:
-                top = max(simplex)
-                for i in range(top + 1, self.rank):
-                    cand = simplex | {i}
-                    if self.is_spherical(cand):
-                        nxt.append(cand)
-            level = nxt
-        return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
+        return self.spherical_subsets(self.index_set)
 
     def nerve(self) -> "Nerve":
         """The complex of all nonempty spherical subsets."""
@@ -449,18 +451,25 @@ class StrongConnectivity:
     failing_subset: frozenset[int] | None
 
 
+def _separation(
+    neighbours: Sequence[Collection[int]], subsets: Iterable[frozenset[int]]
+) -> StrongConnectivity:
+    """The first of the empty set and ``subsets`` whose removal disconnects."""
+    all_vertices = frozenset(range(len(neighbours)))
+    for subset in (frozenset(), *subsets):
+        # the empty graph and a single vertex count as connected
+        if len(graph_components(all_vertices - subset, neighbours)) > 1:
+            return StrongConnectivity(False, subset)
+    return StrongConnectivity(True, None)
+
+
 def graph_strong_connectivity(diagram: CoxeterDiagram) -> StrongConnectivity:
     """Connectivity of the finite-order graph after deleting any spherical set."""
     neighbours = [
         frozenset(j for j, m in enumerate(row) if m != INFINITE)
         for row in diagram.orders
     ]
-    all_vertices = frozenset(diagram.index_set)
-    for subset in (frozenset(),) + diagram._spherical_subsets:
-        # the empty graph and a single vertex count as connected
-        if len(graph_components(all_vertices - subset, neighbours)) > 1:
-            return StrongConnectivity(False, subset)
-    return StrongConnectivity(True, None)
+    return _separation(neighbours, diagram._spherical_subsets)
 
 
 def strongly_connected_graph(diagram: CoxeterDiagram) -> bool:
@@ -479,12 +488,7 @@ def nerve_strong_connectivity(nerve: Nerve) -> StrongConnectivity:
     for a, b in (s for s in nerve.simplices if len(s) == 2):
         neighbours[a].add(b)
         neighbours[b].add(a)
-    all_vertices = frozenset(range(nerve.rank))
-    for subset in (frozenset(),) + nerve.simplices:
-        # the empty complex and a single vertex count as connected
-        if len(graph_components(all_vertices - subset, neighbours)) > 1:
-            return StrongConnectivity(False, subset)
-    return StrongConnectivity(True, None)
+    return _separation(neighbours, nerve.simplices)
 
 
 def strongly_connected_nerve(nerve: Nerve) -> bool:

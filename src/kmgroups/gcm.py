@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
-from ._intmat import Matrix, det, freeze
+from ._intmat import Matrix, det
 from .coxeter import CoxeterDiagram, coxeter_matrix
 
 FINITE = "finite"
@@ -79,7 +79,17 @@ class GeneralizedCartanMatrix:
         rows: Sequence[Sequence[int]],
         labels: Sequence[str] | None = None,
     ) -> "GeneralizedCartanMatrix":
-        entries = freeze(rows)
+        if not isinstance(rows, (list, tuple)):
+            raise GcmValidationError("matrix is not a list of rows")
+        for i, row in enumerate(rows):
+            if not isinstance(row, (list, tuple)):
+                raise GcmValidationError(f"row {i + 1} is not a list", (i,))
+            for j, x in enumerate(row):
+                if isinstance(x, bool) or not isinstance(x, int):
+                    raise GcmValidationError(
+                        f"entry at ({i + 1},{j + 1}) is {x!r}, not an integer", (i, j)
+                    )
+        entries = tuple(tuple(row) for row in rows)
         n = len(entries)
         if n == 0:
             raise NotSquareError("matrix is empty")
@@ -112,6 +122,8 @@ class GeneralizedCartanMatrix:
                     )
         if labels is None:
             labels = tuple(str(i + 1) for i in range(n))
+        elif not isinstance(labels, (list, tuple)):
+            raise GcmValidationError("labels are not a list")
         else:
             labels = tuple(str(x) for x in labels)
             if len(labels) != n:

@@ -59,12 +59,14 @@ def all_subsets(base: Iterable[int]) -> list[frozenset[int]]:
 
 
 def essential_subsets(diagram: CoxeterDiagram) -> tuple[frozenset[int], ...]:
-    """All essential subsets (the empty set included), sorted by size then members."""
-    return tuple(
-        s
-        for s in all_subsets(diagram.index_set)
-        if diagram.decompose(s).essential_part == s
-    )
+    """All essential subsets (the empty set included), sorted by size then members.
+
+    Only the non-spherical components are scanned: a subset of a spherical
+    component is spherical, so no essential subset meets one."""
+    base = [
+        i for c in diagram.components() if diagram.spherical_type(c) is None for i in c
+    ]
+    return tuple(s for s in all_subsets(base) if diagram.decompose(s).is_essential)
 
 
 class Comparison(enum.Enum):
@@ -269,7 +271,7 @@ def normalizer_factors(
     W_J x W_{J-perp}, and the centralizer-side factor is W_{J-perp}."""
     subset = frozenset(subset)
     dec = diagram.decompose(subset)
-    if not subset or dec.essential_part != subset:
+    if not subset or not dec.is_essential:
         raise NotEssentialError(subset)
     return subset, dec.perp
 
@@ -355,10 +357,7 @@ def find_j_regular(
     make every accepted certificate checkable but never prove that smaller
     candidates were wrongly rejected at higher bounds.
     """
-    subset = frozenset(subset)
-    dec = group.diagram.decompose(subset)
-    if not subset or dec.essential_part != subset:
-        raise NotEssentialError(subset)
+    subset, _ = normalizer_factors(group.diagram, subset)  # NotEssentialError
     all_roots = positive_real_roots(group, max_height, budget=budget)
     in_subset, _ = split_by_support(all_roots, subset)
     torsion_bound = group.max_spherical_order

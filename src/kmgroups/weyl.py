@@ -100,9 +100,6 @@ class WeylGroup:
             rows = self._right_mul_gen(rows, k)
         return WeylElement(self, rows)
 
-    def element(self, rows: Matrix) -> "WeylElement":
-        return WeylElement(self, rows)
-
     def ball(
         self,
         radius: int,

@@ -319,6 +319,28 @@ def random_gcm(rng, n, density, deepest):
     return rows
 
 
+def direct_sum(*blocks):
+    """Rows of the block-diagonal matrix with the given square blocks."""
+    n = sum(len(b) for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    offset = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            rows[offset + i][offset : offset + len(row)] = row
+        offset += len(block)
+    return rows
+
+
+def permuted(rows, perm):
+    """Rows of the same matrix with index k renamed perm[k]."""
+    n = len(rows)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            out[perm[i]][perm[j]] = rows[i][j]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Canonical keys for memoising finiteness checks across isomorphic diagrams.
 

@@ -138,6 +138,25 @@ class TestExitCodes:
         assert "DiagonalNotTwo(1)" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize(
+        "doc, where",
+        [
+            ('{"matrix": 5}', "Invalid: matrix"),
+            ('{"matrix": null}', "Invalid: matrix"),
+            ('{"matrix": [[2, -1], 7]}', "Invalid(2)"),
+            ('{"matrix": [[2, "x"], [0, 2]]}', "Invalid(1,2)"),
+            ('{"matrix": [[2, -1.5], [-1, 2]]}', "Invalid(1,2)"),
+            ('{"matrix": [[2, -1], [false, 2]]}', "Invalid(2,1)"),
+            ('{"matrix": [[2, -1], [-1, 2]], "labels": 5}', "Invalid: labels"),
+        ],
+    )
+    def test_malformed_json_matrix_is_exit_2_with_position(self, doc, where):
+        proc = run_km("classify", "-", stdin=doc)
+        assert proc.returncode == 2, proc.stderr
+        assert where in proc.stderr
+        assert "internal error" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_missing_file_is_exit_2(self):
         proc = run_km("validate", "/nonexistent/x.json")
         assert proc.returncode == 2
@@ -200,6 +219,14 @@ class TestExitCodes:
         assert payload["one_ended"] is False
         assert payload["nerve_agreement"] is True
 
+    def test_poset_of_finite_a20_is_quick(self):
+        # a finite diagram has no non-spherical component to scan
+        proc = run_km("poset", "-", stdin=finite_a_text(20), timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)["payload"]
+        assert [c["set"] for c in payload["classes"]] == [[]]
+        assert payload["hasse"] == []
+
     def test_report_of_complete_rank12_is_quick(self):
         n = 12
         text = "".join(
@@ -217,6 +244,33 @@ class TestExitCodes:
     def test_unknown_catalog_entry_is_exit_2(self):
         proc = run_km("catalog", "no_such_entry")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("weyl", "straight", "affine_a2", "--word", "1,2", "--n", "-3"),
+            ("roots", "affine_a2", "--max-height", "-1"),
+            ("roots", "affine_a2", "--max-height", "3", "--budget", "-5"),
+            ("closure", "affine_a2", "--word", "1,2", "--depth", "-1"),
+            ("jregular", "affine_a1", "--set", "1,2", "--max-len", "-2", "--n", "2",
+             "--max-height", "2", "--depth", "1"),
+        ],
+        ids=["n", "max_height", "budget", "depth", "max_len"],
+    )
+    def test_negative_bound_is_exit_2(self, catalog_paths, capsys, argv):
+        from kmgroups import cli
+
+        argv = [catalog_paths.get(a, a) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "not a nonnegative integer" in capsys.readouterr().err
+
+    def test_zero_bound_is_accepted(self, catalog_paths):
+        payload = km_payload(
+            "closure", catalog_paths["affine_a2"], "--word", "1,2", "--depth", "0"
+        )
+        assert payload["depth"] == 0
 
     def test_budget_exhaustion_is_exit_3(self, catalog_paths):
         proc = run_km(

@@ -18,6 +18,8 @@ from kmgroups import (
     strongly_connected_graph,
     strongly_connected_nerve,
 )
+from kmgroups.parabolics import all_subsets
+from test_gcm import BOND_PAIRS
 
 
 def gcm(rows):
@@ -35,6 +37,42 @@ def path_diagram(ms):
     for k, m in enumerate(ms):
         rows[k][k + 1] = rows[k + 1][k] = m
     return CoxeterDiagram.from_orders(rows)
+
+
+def finite_a(n):
+    """Rows of the Cartan matrix of finite type A_n."""
+    return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)]
+            for i in range(n)]
+
+
+AFFINE_A2 = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+
+
+def subset_sweep(catalog_gcms):
+    """Inputs for the differential tests of the subset routines: the catalog,
+    the 1,728 rank-3 matrices over ``BOND_PAIRS``, seeded random matrices of
+    rank 4-8, and direct sums with a finite part, also with shuffled indices."""
+    rng = random.Random(20261021)
+    matrices = [[list(r) for r in g.entries] for g in catalog_gcms.values()]
+    for (a, c), (b, e), (d, f) in itertools.product(BOND_PAIRS, repeat=3):
+        matrices.append([[2, a, b], [c, 2, d], [e, f, 2]])
+    matrices += [
+        oracles.random_gcm(rng, rng.randint(4, 8), density=rng.choice([0.3, 0.6]),
+                           deepest=3)
+        for _ in range(60)
+    ]
+    sums = [
+        oracles.direct_sum(finite_a(5), AFFINE_A2),
+        oracles.direct_sum(AFFINE_A2, finite_a(3), [[2, -2], [-2, 2]]),
+        oracles.direct_sum(finite_a(2), [[2, -3], [-3, 2]], finite_a(1)),
+        oracles.direct_sum(finite_a(4), oracles.random_gcm(rng, 4, 0.7, 3)),
+    ]
+    for rows in sums:
+        matrices.append(rows)
+        perm = list(range(len(rows)))
+        rng.shuffle(perm)
+        matrices.append(oracles.permuted(rows, perm))
+    return matrices
 
 
 class TestBondOrders:
@@ -321,6 +359,27 @@ class TestNerve:
                 if halted:
                     expected.add(frozenset(subset))
         assert set(nerve.simplices) == expected
+
+
+class TestSphericalSubsets:
+    def test_matches_filtered_power_set(self, catalog_gcms):
+        rng = random.Random(20261022)
+        for rows in subset_sweep(catalog_gcms):
+            d = diagram(rows)
+            bases = [range(d.rank), []] + [
+                rng.sample(range(d.rank), rng.randint(1, d.rank)) for _ in range(3)
+            ]
+            for base in bases:
+                expected = [s for s in all_subsets(base) if s and d.is_spherical(s)]
+                assert list(d.spherical_subsets(base)) == expected, (rows, base)
+
+    def test_nerve_one_skeleton_is_the_finite_order_graph(self, catalog_gcms):
+        # a pair is spherical iff m_ij is finite, so both strong-connectivity
+        # tests follow the same graph
+        for rows in subset_sweep(catalog_gcms):
+            d = diagram(rows)
+            pairs = [tuple(sorted(s)) for s in d.nerve().simplices if len(s) == 2]
+            assert pairs == list(d.finite_order_edges()), rows
 
 
 class TestStrongConnectivity:

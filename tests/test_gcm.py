@@ -86,6 +86,36 @@ class TestValidation:
         with pytest.raises(GcmValidationError):
             GeneralizedCartanMatrix.from_rows(A2, labels=["a"])
 
+    @pytest.mark.parametrize(
+        "rows, position",
+        [
+            (5, ()),
+            (None, ()),
+            ("22", ()),
+            ([[2, -1], "ab"], (1,)),
+            ([[2, -1], None], (1,)),
+            ([[2, "x"], [0, 2]], (0, 1)),
+            ([[2, -1.5], [-1, 2]], (0, 1)),
+            ([[2, -1], [-1, 2.0]], (1, 1)),
+            ([[2, True], [-1, 2]], (0, 1)),
+            ([[2, -1], [None, 2]], (1, 0)),
+        ],
+    )
+    def test_non_integer_entries_and_non_list_shapes_rejected(self, rows, position):
+        # entries are never truncated: -1.5 is not read as -1
+        with pytest.raises(GcmValidationError) as exc:
+            GeneralizedCartanMatrix.from_rows(rows)
+        assert exc.value.position == position
+
+    @pytest.mark.parametrize("labels", [5, "ab", {"a": 1, "b": 2}])
+    def test_labels_must_be_a_list(self, labels):
+        with pytest.raises(GcmValidationError):
+            GeneralizedCartanMatrix.from_rows(A2, labels=labels)
+
+    def test_tuples_are_accepted(self):
+        g = GeneralizedCartanMatrix.from_rows(((2, -1), (-1, 2)), labels=("a", "b"))
+        assert g == GeneralizedCartanMatrix.from_rows(A2, labels=["a", "b"])
+
     def test_validation_errors_are_value_errors(self):
         with pytest.raises(ValueError):
             GeneralizedCartanMatrix.from_rows([[3]])

@@ -23,6 +23,8 @@ from kmgroups import (
     parabolic_closure_search,
     standard_conjugacy,
 )
+from kmgroups.parabolics import all_subsets
+from test_coxeter import subset_sweep
 from test_gcm import BOND_PAIRS
 
 A2 = [[2, -1], [-1, 2]]
@@ -68,6 +70,17 @@ class TestEssentialSubsets:
             frozenset({2, 3}),
             frozenset({0, 1, 2, 3}),
         )
+
+    def test_restricted_scan_matches_full_filter(self, catalog_gcms):
+        restricted = 0
+        for rows in subset_sweep(catalog_gcms):
+            d = diagram(rows)
+            expected = tuple(
+                s for s in all_subsets(d.index_set) if d.decompose(s).essential_part == s
+            )
+            assert essential_subsets(d) == expected, rows
+            restricted += any(d.is_spherical(c) for c in d.components())
+        assert restricted > 50  # many inputs have a spherical component to skip
 
 
 class TestCompare:
