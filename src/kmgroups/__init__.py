@@ -4,148 +4,68 @@ Everything is derived from a validated generalized Cartan matrix with exact
 integer arithmetic: Coxeter data and spherical subsets, Weyl group elements
 as root-lattice matrices, bounded real-root enumeration, standard-parabolic
 combinatorics, and the verdict layer used by the `km` command line tool.
+
+Importing the package runs no engine module: each public name is looked up
+in ``_EXPORTS`` and its module is imported on first access (PEP 562).
 """
 
-from .gcm import (
-    AFFINE,
-    FINITE,
-    INDEFINITE,
-    DiagonalNotTwoError,
-    GcmScalars,
-    GcmTypeVerdict,
-    GcmValidationError,
-    GeneralizedCartanMatrix,
-    NotSquareError,
-    PositiveOffDiagonalError,
-    ZeroAsymmetryError,
-    classify,
-    components,
-    scalars,
-)
-from .coxeter import (
-    INFINITE,
-    CoxeterDiagram,
-    FiniteTypeInfo,
-    Nerve,
-    NotSphericalError,
-    StrongConnectivity,
-    SubsetDecomposition,
-    coxeter_matrix,
-    graph_strong_connectivity,
-    nerve_strong_connectivity,
-    strongly_connected_graph,
-    strongly_connected_nerve,
-)
-from .weyl import DEFAULT_BUDGET, BudgetExceededError, WeylElement, WeylGroup
-from .roots import (
-    MissingWitnessError,
-    RealRoot,
-    periodic_roots,
-    positive_real_roots,
-    reflection_of,
-    split_by_support,
-)
-from .parabolics import (
-    ClosureCertificate,
-    Comparison,
-    ComponentNotSphericalError,
-    ConjugacyWitness,
-    DeodharMove,
-    EssentialPoset,
-    JRegularCertificate,
-    MoveVerificationError,
-    NotEssentialError,
-    compare_commensurability,
-    deodhar_move,
-    essential_subsets,
-    find_j_regular,
-    normalizer_factors,
-    parabolic_closure_search,
-    standard_conjugacy,
-)
-from .analysis import (
-    CriterionFailure,
-    EndsVerdict,
-    IndecomposabilityVerdict,
-    NotPrimePowerError,
-    OpenSubgroupClass,
-    OpenSubgroupReport,
-    SandwichRecord,
-    StructureReport,
-    ends_verdict,
-    indecomposability_verdict,
-    locally_normal_report,
-    open_subgroup_report,
-    prime_power,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AFFINE",
-    "DEFAULT_BUDGET",
-    "FINITE",
-    "INDEFINITE",
-    "INFINITE",
-    "BudgetExceededError",
-    "ClosureCertificate",
-    "Comparison",
-    "ComponentNotSphericalError",
-    "ConjugacyWitness",
-    "CoxeterDiagram",
-    "CriterionFailure",
-    "DeodharMove",
-    "DiagonalNotTwoError",
-    "EndsVerdict",
-    "EssentialPoset",
-    "FiniteTypeInfo",
-    "GcmScalars",
-    "GcmTypeVerdict",
-    "GcmValidationError",
-    "GeneralizedCartanMatrix",
-    "IndecomposabilityVerdict",
-    "JRegularCertificate",
-    "MissingWitnessError",
-    "MoveVerificationError",
-    "Nerve",
-    "NotEssentialError",
-    "NotPrimePowerError",
-    "NotSphericalError",
-    "NotSquareError",
-    "OpenSubgroupClass",
-    "OpenSubgroupReport",
-    "PositiveOffDiagonalError",
-    "RealRoot",
-    "SandwichRecord",
-    "StrongConnectivity",
-    "StructureReport",
-    "SubsetDecomposition",
-    "WeylElement",
-    "WeylGroup",
-    "ZeroAsymmetryError",
-    "classify",
-    "compare_commensurability",
-    "components",
-    "coxeter_matrix",
-    "deodhar_move",
-    "ends_verdict",
-    "essential_subsets",
-    "find_j_regular",
-    "graph_strong_connectivity",
-    "indecomposability_verdict",
-    "locally_normal_report",
-    "nerve_strong_connectivity",
-    "normalizer_factors",
-    "open_subgroup_report",
-    "parabolic_closure_search",
-    "periodic_roots",
-    "positive_real_roots",
-    "prime_power",
-    "reflection_of",
-    "scalars",
-    "split_by_support",
-    "standard_conjugacy",
-    "strongly_connected_graph",
-    "strongly_connected_nerve",
-    "__version__",
-]
+
+class BadInputError(ValueError):
+    """Input that the tool rejects as invalid; `km` exits 2 on it."""
+
+
+# module -> the public names it defines
+_EXPORTS = {
+    "gcm": (
+        "AFFINE", "FINITE", "INDEFINITE", "DiagonalNotTwoError", "GcmScalars",
+        "GcmTypeVerdict", "GcmValidationError", "GeneralizedCartanMatrix",
+        "NotSquareError", "PositiveOffDiagonalError", "ZeroAsymmetryError",
+        "classify", "components", "scalars",
+    ),
+    "coxeter": (
+        "INFINITE", "CoxeterDiagram", "FiniteTypeInfo", "Nerve", "NotSphericalError",
+        "StrongConnectivity", "SubsetDecomposition", "coxeter_matrix",
+        "graph_strong_connectivity", "nerve_strong_connectivity",
+        "strongly_connected_graph", "strongly_connected_nerve",
+    ),
+    "weyl": ("DEFAULT_BUDGET", "BudgetExceededError", "WeylElement", "WeylGroup"),
+    "roots": (
+        "MissingWitnessError", "RealRoot", "periodic_roots", "positive_real_roots",
+        "reflection_of", "split_by_support",
+    ),
+    "parabolics": (
+        "ClosureCertificate", "Comparison", "ComponentNotSphericalError",
+        "ConjugacyWitness", "DeodharMove", "EssentialPoset", "JRegularCertificate",
+        "MoveVerificationError", "NotEssentialError", "compare_commensurability",
+        "deodhar_move", "essential_subsets", "find_j_regular", "normalizer_factors",
+        "parabolic_closure_search", "standard_conjugacy",
+    ),
+    "analysis": (
+        "CriterionFailure", "EndsVerdict", "IndecomposabilityVerdict",
+        "NotPrimePowerError", "OpenSubgroupClass", "OpenSubgroupReport",
+        "SandwichRecord", "StructureReport", "ends_verdict",
+        "indecomposability_verdict", "locally_normal_report", "open_subgroup_report",
+        "prime_power",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULE_OF})

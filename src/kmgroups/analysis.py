@@ -8,8 +8,9 @@ combinatorial predicates; only the combinatorics is computed here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
+from . import BadInputError
 from .coxeter import (
     coxeter_matrix,
     graph_strong_connectivity,
@@ -19,7 +20,7 @@ from .gcm import FINITE, GeneralizedCartanMatrix, classify, scalars
 from .parabolics import EssentialPoset, essential_subsets
 
 
-class NotPrimePowerError(ValueError):
+class NotPrimePowerError(BadInputError):
     def __init__(self, q: int):
         self.q = q
         super().__init__(f"{q} is not a prime power")
@@ -47,8 +48,7 @@ def prime_power(q: int) -> tuple[int, int]:
     return p, e
 
 
-@dataclass(frozen=True)
-class EndsVerdict:
+class EndsVerdict(NamedTuple):
     """Number-of-ends facts derived from the diagram.
 
     ``witness`` is None when one-ended or when the Weyl group is finite;
@@ -85,16 +85,14 @@ def ends_verdict(gcm: GeneralizedCartanMatrix) -> EndsVerdict:
     )
 
 
-@dataclass(frozen=True)
-class CriterionFailure:
+class CriterionFailure(NamedTuple):
     """Why one sufficient criterion did not apply."""
 
     criterion: str  # "criterion_i" | "criterion_ii" | "applicability"
     failed: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class IndecomposabilityVerdict:
+class IndecomposabilityVerdict(NamedTuple):
     """Local indecomposability of the completed group over F_q.
 
     ``outcome`` is "locally_indecomposable" or "inconclusive"; when
@@ -164,16 +162,14 @@ def indecomposability_verdict(
     ])
 
 
-@dataclass(frozen=True)
-class OpenSubgroupClass:
+class OpenSubgroupClass(NamedTuple):
     subset: frozenset[int]
     class_label: str
     representative: str
     description: str
 
 
-@dataclass(frozen=True)
-class OpenSubgroupReport:
+class OpenSubgroupReport(NamedTuple):
     """Commensurability classes of open subgroups, as a rendered poset."""
 
     poset: EssentialPoset
@@ -221,8 +217,7 @@ def open_subgroup_report(gcm: GeneralizedCartanMatrix) -> OpenSubgroupReport:
     )
 
 
-@dataclass(frozen=True)
-class SandwichRecord:
+class SandwichRecord(NamedTuple):
     """One sandwich P- <= gHg^{-1} <= P for locally normal subgroups."""
 
     essential: frozenset[int]
@@ -233,8 +228,7 @@ class SandwichRecord:
     refined_lower_bound: str
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     """Locally normal subgroup structure, rendered as checkable text."""
 
     sandwiches: tuple[SandwichRecord, ...]

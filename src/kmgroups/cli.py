@@ -17,29 +17,25 @@ budget exceeded.  Sets and words on the command line are 1-based
 comma-separated indices; JSON payloads use 1-based indices as well.
 
 Each command is a row of ``COMMANDS``; ``_run`` builds every envelope.
+Handlers import the engine module they run, so start-up loads only ``gcm``,
+``coxeter`` and ``weyl``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from collections.abc import Callable, Iterable, Sequence
+from typing import NamedTuple
 
-from . import __version__, catalog
-from .analysis import (NotPrimePowerError, ends_verdict, indecomposability_verdict,
-                       locally_normal_report, open_subgroup_report, prime_power)
-from .coxeter import (INFINITE, NotSphericalError, coxeter_matrix,
-                      nerve_strong_connectivity)
+from . import BadInputError, __version__, catalog
+from .coxeter import INFINITE, coxeter_matrix, nerve_strong_connectivity
 from .gcm import GcmValidationError, GeneralizedCartanMatrix, classify, scalars
-from .parabolics import (ComponentNotSphericalError, NotEssentialError, find_j_regular,
-                         parabolic_closure_search, standard_conjugacy)
-from .roots import positive_real_roots, split_by_support
 from .weyl import DEFAULT_BUDGET, BudgetExceededError, WeylElement, WeylGroup
 
 
-class InputError(ValueError):
+class InputError(BadInputError):
     """Bad command-line input (file contents, set/word syntax, ranges)."""
 
 
@@ -124,8 +120,8 @@ def _wire(value):
     """Convert library data to JSON data, recursively and by type alone.
 
     Frozensets (0-based index sets) become sorted 1-based lists and Weyl
-    elements become their 1-based canonical words.  Dataclasses become dicts
-    of their fields, tuples become lists and ``INFINITE`` becomes null.
+    elements become their 1-based canonical words.  Records become dicts of
+    their ``_fields``, tuples become lists and ``INFINITE`` becomes null.
     Integers are never shifted, so coordinates, matrix rows, counts and the
     input words echoed as the user gave them pass through unchanged.
     """
@@ -140,10 +136,9 @@ def _wire(value):
         return {k: _wire(v) for k, v in value.items()}
     if kind is WeylElement:
         return [k + 1 for k in value.word]
-    if dataclasses.is_dataclass(value):
-        return {
-            f.name: _wire(getattr(value, f.name)) for f in dataclasses.fields(value)
-        }
+    fields = getattr(kind, "_fields", None)
+    if fields is not None:
+        return {f: _wire(getattr(value, f)) for f in fields}
     if value == INFINITE:
         return None
     raise TypeError(f"no wire form for {kind.__name__}")
@@ -176,7 +171,7 @@ def _classify(gcm, args):
     return {}, {
         "components": components,
         "indecomposable": verdict.indecomposable,
-        **vars(scalars(gcm)),
+        **scalars(gcm)._asdict(),
     }
 
 
@@ -226,6 +221,8 @@ def _poset_payload(report):
 
 
 def _poset(gcm, args):
+    from .analysis import open_subgroup_report
+
     report = open_subgroup_report(gcm)
     if args.format == "dot":
         labels = [f"{c.representative} {c.class_label}" for c in report.classes]
@@ -247,20 +244,27 @@ def _nerve(gcm, args):
 
 
 def _ends(gcm, args):
+    from .analysis import ends_verdict
+
     ends = ends_verdict(gcm)
     witness = ends.witness
     if witness == frozenset():
         witness = {"kind": "finite_order_graph_disconnected"}
     elif witness is not None:
         witness = {"kind": "separating_spherical_subset", "set": witness}
-    return {}, {**vars(ends), "witness": witness}
+    return {}, {**ends._asdict(), "witness": witness}
 
 
 def _indec(gcm, args):
+    from .analysis import indecomposability_verdict
+
     return {"q": args.q}, indecomposability_verdict(gcm, args.q)
 
 
 def _report(gcm, args):
+    from .analysis import (indecomposability_verdict, locally_normal_report,
+                           open_subgroup_report, prime_power)
+
     prime_power(args.q)  # fail fast on a bad q
     return {"q": args.q}, {
         "open_subgroup_classes": _poset_payload(open_subgroup_report(gcm)),
@@ -294,6 +298,8 @@ def _weyl_straight(gcm, args):
 
 
 def _roots(gcm, args):
+    from .roots import positive_real_roots, split_by_support
+
     found = positive_real_roots(WeylGroup(gcm), args.max_height, budget=args.budget)
     parameters = {"max_height": args.max_height, "budget": args.budget}
     roots = [
@@ -316,6 +322,8 @@ def _roots(gcm, args):
 
 
 def _conj(gcm, args):
+    from .parabolics import standard_conjugacy
+
     source = _parse_set(args.source, gcm.rank)
     target = _parse_set(args.target, gcm.rank)
     witness = standard_conjugacy(WeylGroup(gcm), source, target)
@@ -332,6 +340,8 @@ def _conj(gcm, args):
 
 
 def _closure(gcm, args):
+    from .parabolics import parabolic_closure_search
+
     letters, element = _word_element(gcm, args)
     cert = parabolic_closure_search(
         element.group, element, args.depth, budget=args.budget
@@ -347,6 +357,8 @@ def _closure(gcm, args):
 
 
 def _jregular(gcm, args):
+    from .parabolics import find_j_regular
+
     subset = _parse_set(args.set, gcm.rank)  # find_j_regular rejects the empty set
     cert = find_j_regular(
         WeylGroup(gcm), subset, max_len=args.max_len, power_bound=args.n,
@@ -380,15 +392,14 @@ def _catalog(gcm, args):
         return {}, {"names": catalog.names()}
     try:
         return catalog.read_text(args.name)
-    except KeyError as exc:
-        raise InputError(str(exc)) from exc
+    except KeyError as exc:  # str() of a KeyError is the repr of its message
+        raise InputError(exc.args[0]) from exc
 
 
 # ---------------------------------------------------------------- commands
 
 
-@dataclasses.dataclass(frozen=True)
-class _Command:
+class _Command(NamedTuple):
     """One `km` command.  ``name`` is the wire name; a dash nests it under a
     group ("weyl-word" is ``km weyl word``).  ``options`` are (flag,
     argparse keywords) pairs.  Bounded commands warn that their answer only
@@ -413,6 +424,16 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _power_bound(text: str) -> int:
+    """An argparse type: a largest power n >= 2; the checks run over 2..n."""
+    n = _count(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is below 2: the checks cover powers 2..n"
+        )
+    return n
+
+
 def _int(flag: str) -> tuple[str, dict]:
     return _opt(flag, type=_count, required=True)
 
@@ -421,6 +442,7 @@ _FORMAT = _opt("--format", choices=("json", "dot"), default="json")
 _Q = _opt("--q", type=int, required=True, help="prime power")
 _WORD = _opt("--word", required=True, help="1-based comma-separated letters")
 _BUDGET = _opt("--budget", type=_count, default=DEFAULT_BUDGET)
+_N = _opt("--n", type=_power_bound, required=True)
 
 COMMANDS = (
     _Command("validate", _validate, "check the matrix axioms"),
@@ -435,7 +457,7 @@ COMMANDS = (
     _Command("report", _report, "full structure report", (_Q,)),
     _Command("weyl-word", _weyl_word, "canonical word, length and order", (_WORD,)),
     _Command("weyl-straight", _weyl_straight, "power lengths and straightness up to n",
-             (_WORD, _int("--n")), bounded=True),
+             (_WORD, _N), bounded=True),
     _Command("roots", _roots, "positive real roots up to a height",
              (_int("--max-height"),
               _opt("--set", help="also split by support inside this set"), _BUDGET),
@@ -446,7 +468,7 @@ COMMANDS = (
     _Command("closure", _closure, "bounded parabolic-closure search",
              (_WORD, _int("--depth"), _BUDGET), bounded=True),
     _Command("jregular", _jregular, "bounded regular-element search",
-             (_opt("--set", required=True), _int("--max-len"), _int("--n"),
+             (_opt("--set", required=True), _int("--max-len"), _N,
               _int("--max-height"), _int("--depth"), _BUDGET), bounded=True),
     _Command("catalog", _catalog, "bundled example matrices",
              (_opt("name", nargs="?", help="entry to print (omit to list)"),),
@@ -508,12 +530,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except GcmValidationError as exc:
-        print(f"error: {exc.describe()}: {exc}", file=sys.stderr)
-        return 2
-    except (InputError, NotSphericalError, NotEssentialError, NotPrimePowerError,
-            ComponentNotSphericalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except BadInputError as exc:
+        where = f"{exc.describe()}: " if isinstance(exc, GcmValidationError) else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

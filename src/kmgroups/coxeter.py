@@ -17,10 +17,11 @@ Edge orders are Python ints, with ``math.inf`` for the infinite order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from collections.abc import Collection, Iterable, Sequence
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
+
+from . import BadInputError
 
 if TYPE_CHECKING:
     from .gcm import GeneralizedCartanMatrix
@@ -58,7 +59,7 @@ def graph_components(
     return tuple(out)
 
 
-class NotSphericalError(ValueError):
+class NotSphericalError(BadInputError):
     """A subset expected to generate a finite group does not."""
 
     def __init__(self, subset: Iterable[int]):
@@ -66,8 +67,7 @@ class NotSphericalError(ValueError):
         super().__init__(f"subset {sorted(self.subset)} is not spherical")
 
 
-@dataclass(frozen=True)
-class FiniteTypeInfo:
+class FiniteTypeInfo(NamedTuple):
     """Classification record for one finite-type connected diagram."""
 
     name: str
@@ -75,8 +75,36 @@ class FiniteTypeInfo:
     positive_roots: int
 
 
-@dataclass(frozen=True)
-class CoxeterDiagram:
+class _Frozen:
+    """Immutable value semantics over ``_fields`` for the records that keep a
+    ``cached_property``, which needs the instance ``__dict__`` a NamedTuple
+    lacks.  Fields are stored straight into ``__dict__``; assignment fails."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        inside = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({inside})"
+
+
+class CoxeterDiagram(_Frozen):
     """A Coxeter matrix with its two derived graphs.
 
     ``orders[i][j]`` is the order m_ij of s_i s_j (1 on the diagonal,
@@ -95,8 +123,10 @@ class CoxeterDiagram:
     False
     """
 
-    orders: tuple[tuple[float, ...], ...]
-    labels: tuple[str, ...]
+    _fields = ("orders", "labels")
+
+    def __init__(self, orders: tuple[tuple[float, ...], ...], labels: tuple[str, ...]):
+        vars(self).update(orders=orders, labels=labels)
 
     @classmethod
     def from_orders(
@@ -348,8 +378,7 @@ class CoxeterDiagram:
         return Nerve(rank=self.rank, simplices=self._spherical_subsets)
 
 
-@dataclass(frozen=True)
-class SubsetDecomposition:
+class SubsetDecomposition(NamedTuple):
     """Decomposition of a generator subset J.
 
     ``spherical_part`` is the union of the finite-type components of J,
@@ -372,15 +401,16 @@ class SubsetDecomposition:
         return self.spherical_part == frozenset()
 
 
-@dataclass(frozen=True)
-class Nerve:
+class Nerve(_Frozen):
     """All nonempty spherical subsets, ordered by inclusion.
 
     ``simplices`` is sorted by (size, members) and is closed downwards.
     """
 
-    rank: int
-    simplices: tuple[frozenset[int], ...]
+    _fields = ("rank", "simplices")
+
+    def __init__(self, rank: int, simplices: tuple[frozenset[int], ...]):
+        vars(self).update(rank=rank, simplices=simplices)
 
     @cached_property
     def _members(self) -> frozenset[frozenset[int]]:
@@ -437,8 +467,7 @@ def coxeter_matrix(gcm: GeneralizedCartanMatrix) -> CoxeterDiagram:
     return CoxeterDiagram(orders=orders, labels=gcm.labels)
 
 
-@dataclass(frozen=True)
-class StrongConnectivity:
+class StrongConnectivity(NamedTuple):
     """Outcome of a strong-connectivity check.
 
     ``failing_subset`` is None when strongly connected; the empty frozenset

@@ -11,9 +11,10 @@ display-only and never used for identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
+from typing import NamedTuple
 
+from . import BadInputError
 from ._intmat import Matrix, det
 from .coxeter import CoxeterDiagram, coxeter_matrix
 
@@ -22,7 +23,7 @@ AFFINE = "affine"
 INDEFINITE = "indefinite"
 
 
-class GcmValidationError(ValueError):
+class GcmValidationError(BadInputError):
     """A matrix violates one of the generalized Cartan matrix axioms.
 
     ``position`` holds the offending 0-based index tuple; ``describe()``
@@ -56,8 +57,7 @@ class ZeroAsymmetryError(GcmValidationError):
     code = "ZeroAsymmetry"
 
 
-@dataclass(frozen=True)
-class GeneralizedCartanMatrix:
+class GeneralizedCartanMatrix(NamedTuple):
     """An immutable, validated generalized Cartan matrix.
 
     Build instances with :func:`GeneralizedCartanMatrix.from_rows`, which
@@ -164,8 +164,7 @@ def components(gcm: GeneralizedCartanMatrix) -> tuple[frozenset[int], ...]:
     return coxeter_matrix(gcm).components()
 
 
-@dataclass(frozen=True)
-class GcmTypeVerdict:
+class GcmTypeVerdict(NamedTuple):
     """Per-component type classification of a GCM.
 
     ``types[k]`` is one of ``"finite"``, ``"affine"``, ``"indefinite"`` and
@@ -217,8 +216,7 @@ def classify(gcm: GeneralizedCartanMatrix) -> GcmTypeVerdict:
     return GcmTypeVerdict(components=comps, types=types, indecomposable=len(comps) == 1)
 
 
-@dataclass(frozen=True)
-class GcmScalars:
+class GcmScalars(NamedTuple):
     """Scalar invariants read off the matrix entries.
 
     ``max_abs_offdiag`` is the largest |a_ij| over i != j (0 for rank 1);

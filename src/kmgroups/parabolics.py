@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from collections.abc import Iterable
+from typing import NamedTuple
 
+from . import BadInputError
 from .coxeter import CoxeterDiagram
 from .roots import periodic_roots, positive_real_roots, split_by_support
 from .weyl import DEFAULT_BUDGET, WeylElement, WeylGroup
 
 
-class NotEssentialError(ValueError):
+class NotEssentialError(BadInputError):
     def __init__(self, subset: Iterable[int]):
         self.subset = frozenset(subset)
         super().__init__(
@@ -27,7 +28,7 @@ class NotEssentialError(ValueError):
         )
 
 
-class ComponentNotSphericalError(ValueError):
+class ComponentNotSphericalError(BadInputError):
     """The move's surrounding component is infinite, so no move exists."""
 
     def __init__(self, subset: Iterable[int], s: int, component: Iterable[int]):
@@ -96,8 +97,7 @@ def compare_commensurability(
     return Comparison.INCOMPARABLE
 
 
-@dataclass(frozen=True)
-class EssentialPoset:
+class EssentialPoset(NamedTuple):
     """Essential subsets ordered by inclusion, with Hasse cover pairs."""
 
     diagram: CoxeterDiagram
@@ -152,8 +152,7 @@ class EssentialPoset:
         return self.elements[-1] if self.elements else frozenset()
 
 
-@dataclass(frozen=True)
-class DeodharMove:
+class DeodharMove(NamedTuple):
     """One elementary conjugation J -> nu^{-1} J nu of generator subsets."""
 
     source: frozenset[int]
@@ -205,8 +204,7 @@ def deodhar_move(group: WeylGroup, source: Iterable[int], s: int) -> DeodharMove
     return DeodharMove(source=source, s=s, component=component, nu=nu, target=target)
 
 
-@dataclass(frozen=True)
-class ConjugacyWitness:
+class ConjugacyWitness(NamedTuple):
     """A verified element w with w^{-1} J w = J', plus the move chain."""
 
     element: WeylElement
@@ -276,8 +274,7 @@ def normalizer_factors(
     return subset, dec.perp
 
 
-@dataclass(frozen=True)
-class ClosureCertificate:
+class ClosureCertificate(NamedTuple):
     """Best conjugate found within a radius: an upper bound for the
     parabolic closure, never a proof of minimality."""
 
@@ -322,8 +319,7 @@ def parabolic_closure_search(
     )
 
 
-@dataclass(frozen=True)
-class JRegularCertificate:
+class JRegularCertificate(NamedTuple):
     """A candidate regular element with all four bounded certificates.
 
     * infinite order, decided against the torsion bound;

@@ -10,8 +10,8 @@ exhaustive up to H.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from collections.abc import Iterable
+from typing import NamedTuple
 
 from .weyl import DEFAULT_BUDGET, BudgetExceededError, WeylElement, WeylGroup, root_sign
 
@@ -20,16 +20,28 @@ class MissingWitnessError(ValueError):
     """The operation needs a root's witness pair (w, i) and none is stored."""
 
 
-@dataclass(frozen=True)
-class RealRoot:
+class RealRoot(NamedTuple):
     """A real root as exact coordinates; identity is the coordinate vector.
 
     ``witness`` is (w, i) with root = w(alpha_i), kept from the first
-    breadth-first discovery; it does not take part in equality.
+    breadth-first discovery; it does not take part in equality or hashing.
     """
 
     coords: tuple[int, ...]
-    witness: tuple[WeylElement, int] | None = field(default=None, compare=False)
+    witness: tuple[WeylElement, int] | None = None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RealRoot):
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __ne__(self, other: object) -> bool:
+        if not isinstance(other, RealRoot):
+            return NotImplemented
+        return self.coords != other.coords
+
+    def __hash__(self) -> int:
+        return hash(self.coords)
 
     @property
     def height(self) -> int:

@@ -9,7 +9,8 @@ import pytest
 
 from conftest import GOLDEN_DIR, km_payload, run_km
 from golden_cases import CASES
-from kmgroups import GeneralizedCartanMatrix
+from kmgroups import (ComponentNotSphericalError, GeneralizedCartanMatrix,
+                      NotEssentialError, NotPrimePowerError, NotSphericalError)
 from kmgroups.cli import parse_gcm_text, serialize_gcm
 
 
@@ -199,6 +200,43 @@ class TestExitCodes:
         assert cli.main(["classify", catalog_paths["finite_a2"]]) == 1
         assert "internal error" in capsys.readouterr().err
 
+    def test_engine_value_error_is_internal_exit_1(
+        self, catalog_paths, monkeypatch, capsys
+    ):
+        # exit 2 is for BadInputError only; any other ValueError is a bug
+        from kmgroups import cli
+
+        def broken(gcm):
+            raise ValueError("engine bug")
+
+        monkeypatch.setattr(cli, "classify", broken)
+        assert cli.main(["classify", catalog_paths["finite_a2"]]) == 1
+        assert "internal error: ValueError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            NotSphericalError({0, 1}),
+            ComponentNotSphericalError({0}, 1, {0, 1}),
+            NotEssentialError({0}),
+            NotPrimePowerError(6),
+        ],
+        ids=["not_spherical", "component", "not_essential", "prime_power"],
+    )
+    def test_bad_input_errors_share_exit_2(
+        self, catalog_paths, monkeypatch, capsys, error
+    ):
+        from kmgroups import BadInputError, cli
+
+        assert isinstance(error, BadInputError)
+
+        def rejects(gcm):
+            raise error
+
+        monkeypatch.setattr(cli, "classify", rejects)
+        assert cli.main(["classify", catalog_paths["finite_a2"]]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
     def test_large_prime_q_is_decided_quickly(self, catalog_paths):
         proc = run_km(
             "indec", catalog_paths["finite_a2"], "--q", "1000000007", timeout=20
@@ -244,6 +282,33 @@ class TestExitCodes:
     def test_unknown_catalog_entry_is_exit_2(self):
         proc = run_km("catalog", "no_such_entry")
         assert proc.returncode == 2
+        assert proc.stderr.startswith("error: unknown catalog entry 'no_such_entry'; ")
+        assert '"' not in proc.stderr
+
+    @pytest.mark.parametrize("n", ["0", "1"])
+    @pytest.mark.parametrize("command", ["straight", "jregular"])
+    def test_power_bound_below_two_is_exit_2(self, catalog_paths, capsys, command, n):
+        from kmgroups import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main(self._power_argv(catalog_paths, command, n))
+        assert exc.value.code == 2
+        assert "below 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["straight", "jregular"])
+    def test_power_bound_two_is_accepted(self, catalog_paths, capsys, command):
+        from kmgroups import cli
+
+        assert cli.main(self._power_argv(catalog_paths, command, "2")) == 0
+        assert json.loads(capsys.readouterr().out)["parameters"]["n"] == 2
+
+    @staticmethod
+    def _power_argv(catalog_paths, command, n):
+        if command == "straight":
+            return ["weyl", "straight", catalog_paths["affine_a2"], "--word", "1,2",
+                    "--n", n]
+        return ["jregular", catalog_paths["affine_a1"], "--set", "1,2", "--max-len", "2",
+                "--n", n, "--max-height", "2", "--depth", "1"]
 
     @pytest.mark.parametrize(
         "argv",

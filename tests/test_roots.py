@@ -38,8 +38,11 @@ class TestRealRoot:
         W = group(A2)
         a = RealRoot((1, 1), (W.identity, 0))
         b = RealRoot((1, 1), None)
-        assert a == b
-        assert a != RealRoot((1, 0))
+        c = RealRoot((1, 1), (W.generator(0), 1))
+        assert a == b == c
+        assert not a != b and not b != c
+        assert hash(a) == hash(b) == hash(c) and len({a, b, c}) == 1
+        assert a != RealRoot((1, 0)) and a != RealRoot((1, 0), (W.identity, 0))
 
 
 class TestEnumeration:

@@ -1,0 +1,97 @@
+"""Start-up guards: which modules a fresh `km` process loads.
+
+Each check runs a new interpreter and reads the modules it imported from
+``python -X importtime``, so it tests the real command path.  Module sets,
+not timings: a command must not load an engine it does not run, and no
+command may load ``dataclasses``.  That engine input errors still exit 2
+from a fresh process is checked in ``test_cli.py`` (``TestExitCodes``).
+"""
+
+import subprocess
+import sys
+
+import pytest
+
+from kmgroups import cli
+
+HEAVY = {"kmgroups.analysis", "kmgroups.parabolics", "kmgroups.roots"}
+
+# one invocation of every command; {} is replaced by a catalog matrix path
+ARGV = {
+    "validate": ["validate", "{}"],
+    "classify": ["classify", "{}"],
+    "coxeter": ["coxeter", "{}"],
+    "decompose": ["decompose", "{}", "--set", "1"],
+    "poset": ["poset", "{}"],
+    "nerve": ["nerve", "{}"],
+    "ends": ["ends", "{}"],
+    "indec": ["indec", "{}", "--q", "2"],
+    "report": ["report", "{}", "--q", "2"],
+    "weyl-word": ["weyl", "word", "{}", "--word", "1,2"],
+    "weyl-straight": ["weyl", "straight", "{}", "--word", "1,2", "--n", "3"],
+    "roots": ["roots", "{}", "--max-height", "3"],
+    "conj": ["conj", "{}", "--from", "1", "--to", "2"],
+    "closure": ["closure", "{}", "--word", "1,2", "--depth", "1"],
+    "jregular": ["jregular", "{}", "--set", "1,2", "--max-len", "2", "--n", "2",
+                 "--max-height", "2", "--depth", "1"],
+    "catalog": ["catalog"],
+}
+LIGHT = ("validate", "classify", "coxeter", "decompose", "nerve", "catalog")
+
+
+def imported(*args):
+    """(exit code, names of the modules imported) of a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True, text=True, timeout=60,
+    )
+    names = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return proc.returncode, names
+
+
+def km_imports(name, catalog_paths):
+    argv = [catalog_paths["affine_a1"] if a == "{}" else a for a in ARGV[name]]
+    return imported("-m", "kmgroups.cli", *argv)
+
+
+def test_every_command_is_probed():
+    assert set(ARGV) == {command.name for command in cli.COMMANDS}
+
+
+def test_import_kmgroups_runs_no_module():
+    rc, names = imported("-c", "import kmgroups")
+    assert rc == 0
+    assert {n for n in names if n.startswith("kmgroups")} == {"kmgroups"}
+
+
+def test_import_cli_loads_no_heavy_engine():
+    rc, names = imported("-c", "import kmgroups.cli")
+    assert rc == 0
+    assert "kmgroups.cli" in names
+    assert not names & (HEAVY | {"dataclasses"})
+
+
+def test_public_names_load_only_their_module():
+    rc, names = imported("-c", "from kmgroups import classify, GcmScalars")
+    assert rc == 0
+    assert not names & HEAVY
+
+
+@pytest.mark.parametrize("name", LIGHT)
+def test_light_commands_load_no_heavy_engine(name, catalog_paths):
+    rc, names = km_imports(name, catalog_paths)
+    assert rc == 0
+    assert not names & HEAVY
+
+
+@pytest.mark.parametrize("name", sorted(ARGV))
+def test_no_command_loads_dataclasses(name, catalog_paths):
+    rc, names = km_imports(name, catalog_paths)
+    assert rc == 0
+    assert "dataclasses" not in names
+    assert "kmgroups.gcm" in names  # the probe did see the package load
+
