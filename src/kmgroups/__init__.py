@@ -15,7 +15,16 @@ __version__ = "0.1.0"
 
 
 class BadInputError(ValueError):
-    """Input that the tool rejects as invalid; `km` exits 2 on it."""
+    """Input that the tool rejects as invalid; `km` exits 2 on it.
+
+    ``message(base)`` is the text with its index lists counted from
+    ``base``.  The subclasses whose text holds index sets override it, and
+    their ``str()`` is ``message(0)``, as the library counts; `km` prints
+    ``message(1)``, the form its options use.
+    """
+
+    def message(self, base: int) -> str:
+        return str(self)
 
 
 # module -> the public names it defines

@@ -7,6 +7,7 @@ arbitrary precision.  No floats anywhere.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import mul
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -17,13 +18,11 @@ def identity(n: int) -> Matrix:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     cols = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
-    )
+    return tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in a)
 
 
 def mat_vec(a: Matrix, v: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def column(a: Matrix, j: int) -> tuple[int, ...]:

@@ -532,7 +532,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except BadInputError as exc:
         where = f"{exc.describe()}: " if isinstance(exc, GcmValidationError) else ""
-        print(f"error: {where}{exc}", file=sys.stderr)
+        print(f"error: {where}{exc.message(1)}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -64,7 +64,10 @@ class NotSphericalError(BadInputError):
 
     def __init__(self, subset: Iterable[int]):
         self.subset = frozenset(subset)
-        super().__init__(f"subset {sorted(self.subset)} is not spherical")
+        super().__init__(self.message(0))
+
+    def message(self, base: int) -> str:
+        return f"subset {sorted(i + base for i in self.subset)} is not spherical"
 
 
 class FiniteTypeInfo(NamedTuple):

@@ -23,9 +23,11 @@ from .weyl import DEFAULT_BUDGET, WeylElement, WeylGroup
 class NotEssentialError(BadInputError):
     def __init__(self, subset: Iterable[int]):
         self.subset = frozenset(subset)
-        super().__init__(
-            f"subset {sorted(self.subset)} is not essential and nonempty"
-        )
+        super().__init__(self.message(0))
+
+    def message(self, base: int) -> str:
+        subset = sorted(i + base for i in self.subset)
+        return f"subset {subset} is not essential and nonempty"
 
 
 class ComponentNotSphericalError(BadInputError):
@@ -35,10 +37,13 @@ class ComponentNotSphericalError(BadInputError):
         self.subset = frozenset(subset)
         self.s = s
         self.component = frozenset(component)
-        super().__init__(
-            f"component {sorted(self.component)} of {sorted(self.subset)} + "
-            f"{{{s}}} is not spherical"
-        )
+        super().__init__(self.message(0))
+
+    def message(self, base: int) -> str:
+        component = sorted(i + base for i in self.component)
+        subset = sorted(i + base for i in self.subset)
+        s = self.s + base
+        return f"component {component} of {subset} + {{{s}}} is not spherical"
 
 
 class MoveVerificationError(RuntimeError):

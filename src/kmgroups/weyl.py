@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from collections.abc import Iterable, Sequence
+from operator import mul
 
 from ._intmat import Matrix, column, identity, mat_mul, mat_vec
 from .coxeter import CoxeterDiagram, coxeter_matrix
@@ -274,14 +275,38 @@ class WeylElement:
 
         Powers are tried up to ``bound`` (default: the largest spherical
         subgroup order, which caps the order of every torsion element).
+
+        The scan follows one row of heights instead of matrix powers.  Let
+        h_k[j] be the height of w^k(alpha_j), which is the row 1^T M^k for
+        the matrix M of w; each step h <- h M costs n dot products.  The
+        identity is the only element whose height row is all ones: a
+        nonidentity element v has a right descent j, so v(alpha_j) is a
+        negative root, of height at most -1.  So the first k <= bound with
+        h_k = (1, ..., 1) is the order, and minimality needs no further
+        check, since at every m < k the row was not all ones and w^m is not
+        the identity.  The hit itself is rechecked by computing w^k with
+        square-and-multiply.
+
+        >>> from .gcm import GeneralizedCartanMatrix
+        >>> W = WeylGroup(GeneralizedCartanMatrix.from_rows([[2, -1], [-1, 2]]))
+        >>> W.from_word([0, 1]).order()
+        3
+        >>> affine_a2 = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+        >>> W = WeylGroup(GeneralizedCartanMatrix.from_rows(affine_a2))
+        >>> W.from_word([0, 1, 2]).order() is None
+        True
         """
         if bound is None:
             bound = self.group.max_spherical_order
-        power = self
-        for n in range(1, bound + 1):
-            if power.is_identity:
-                return n
-            power = power * self
+        cols = tuple(zip(*self.rows))
+        ones = [1] * len(cols)
+        heights = [sum(col) for col in cols]
+        for k in range(1, bound + 1):
+            if heights == ones:
+                if not (self**k).is_identity:
+                    raise RuntimeError(f"w^{k} has all heights 1 but is not e")
+                return k
+            heights = [sum(map(mul, heights, col)) for col in cols]
         return None
 
     def is_straight(self, n_max: int) -> bool:

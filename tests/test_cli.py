@@ -184,7 +184,7 @@ class TestExitCodes:
             "--max-len", "2", "--n", "2", "--max-height", "2", "--depth", "1",
         )
         assert proc.returncode == 2
-        assert "not essential" in proc.stderr
+        assert proc.stderr == "error: subset [1] is not essential and nonempty\n"
 
     def test_engine_index_error_is_internal_exit_1(
         self, catalog_paths, monkeypatch, capsys
@@ -214,18 +214,20 @@ class TestExitCodes:
         assert "internal error: ValueError" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "error",
+        "error, stderr",
         [
-            NotSphericalError({0, 1}),
-            ComponentNotSphericalError({0}, 1, {0, 1}),
-            NotEssentialError({0}),
-            NotPrimePowerError(6),
+            (NotSphericalError({0, 1}), "subset [1, 2] is not spherical"),
+            (ComponentNotSphericalError({0}, 1, {0, 1}),
+             "component [1, 2] of [1] + {2} is not spherical"),
+            (NotEssentialError({0}), "subset [1] is not essential and nonempty"),
+            (NotPrimePowerError(6), "6 is not a prime power"),
         ],
         ids=["not_spherical", "component", "not_essential", "prime_power"],
     )
     def test_bad_input_errors_share_exit_2(
-        self, catalog_paths, monkeypatch, capsys, error
+        self, catalog_paths, monkeypatch, capsys, error, stderr
     ):
+        # index lists print 1-based on the CLI; the library stays 0-based
         from kmgroups import BadInputError, cli
 
         assert isinstance(error, BadInputError)
@@ -235,7 +237,8 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "classify", rejects)
         assert cli.main(["classify", catalog_paths["finite_a2"]]) == 2
-        assert capsys.readouterr().err == f"error: {error}\n"
+        assert capsys.readouterr().err == f"error: {stderr}\n"
+        assert str(error) == error.message(0)
 
     def test_large_prime_q_is_decided_quickly(self, catalog_paths):
         proc = run_km(
@@ -248,6 +251,19 @@ class TestExitCodes:
         proc = run_km("classify", "-", stdin=finite_a_text(18), timeout=20)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["payload"]["components"][0]["type"] == "finite"
+
+    def test_order_of_affine_a8_coxeter_element_is_quick(self):
+        # rank 9, so the order scan runs to the bound 9! = 362,880
+        n = 9
+        text = "".join(
+            " ".join("2" if i == j else "-1" if (i - j) % n in (1, n - 1) else "0"
+                     for j in range(n)) + "\n"
+            for i in range(n)
+        )
+        proc = run_km("weyl", "word", "-", "--word", "1,2,3,4,5,6,7,8,9",
+                      stdin=text, timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["payload"]["order"] is None
 
     def test_ends_of_finite_a14_is_quick(self):
         proc = run_km("ends", "-", stdin=finite_a_text(14), timeout=20)

@@ -1,12 +1,17 @@
 """Weyl group engine: words, descents, balls, longest elements, orders."""
 
+import math
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from kmgroups import (
     BudgetExceededError,
     GeneralizedCartanMatrix,
     WeylGroup,
+    weyl,
 )
 
 A2 = [[2, -1], [-1, 2]]
@@ -18,6 +23,29 @@ A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
 
 def group(rows):
     return WeylGroup(GeneralizedCartanMatrix.from_rows(rows))
+
+
+def finite_a(n):
+    """Rows of the Cartan matrix of finite type A_n."""
+    return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)]
+            for i in range(n)]
+
+
+def affine_a(r):
+    """Rows of the Cartan matrix of affine type A_r (rank r + 1, r >= 1)."""
+    if r == 1:
+        return AFF1
+    rows = finite_a(r + 1)
+    rows[0][r] = rows[r][0] = -1
+    return rows
+
+
+def assert_order_matches_oracle(w):
+    """order() agrees with naive powering under the same default bound."""
+    cap = w.group.max_spherical_order
+    expected = oracles.matrix_order([list(r) for r in w.rows], cap=cap)
+    assert w.order() == expected, (w.group.gcm.entries, w.word)
+    return expected
 
 
 class TestBasics:
@@ -198,11 +226,97 @@ class TestOrder:
     def test_orders_match_oracle_on_ball(self):
         W = group(AFF2)
         for w in W.ball(4):
-            got = w.order()
-            expected = oracles.matrix_order(
-                [list(r) for r in w.rows], cap=W.max_spherical_order
-            )
-            assert got == expected, w.word
+            assert_order_matches_oracle(w)
+
+    def test_orders_match_oracle_on_random_words(self):
+        rng = random.Random(20261018)
+        verdicts = {"finite": 0, "infinite": 0}
+        for _ in range(600):
+            n = rng.randint(2, 6)
+            rows = oracles.random_gcm(rng, n, density=0.6, deepest=rng.choice([2, 3]))
+            word = [rng.randrange(n) for _ in range(rng.randint(0, 10))]
+            order = assert_order_matches_oracle(group(rows).from_word(word))
+            verdicts["infinite" if order is None else "finite"] += 1
+        assert verdicts == {"finite": 424, "infinite": 176}
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_affine_a_coxeter_element_is_infinite(self, r):
+        W = group(affine_a(r))
+        assert W.max_spherical_order == math.factorial(r + 1)
+        assert assert_order_matches_oracle(W.from_word(range(r + 1))) is None
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_finite_a_coxeter_number(self, n):
+        W = group(finite_a(n))
+        assert assert_order_matches_oracle(W.from_word(range(n))) == n + 1
+
+    def test_orders_match_oracle_on_catalog(self, catalog_gcms):
+        for g in catalog_gcms.values():
+            for w in WeylGroup(g).ball(4):
+                assert_order_matches_oracle(w)
+
+    @pytest.mark.parametrize(
+        "blocks, word, expected",
+        [
+            ((A2, B2), [0, 1, 2, 3], 12),  # lcm(3, 4)
+            ((A3, A2, B2), [0, 1, 2, 3, 5, 6], 4),  # lcm(4, 2, 4)
+            ((A3, A2, B2), [0, 1, 2, 3, 4, 5, 6], 12),  # lcm(4, 3, 4)
+            ((B2, AFF1), [0, 1, 2], 4),  # the affine part is a reflection
+            ((A2, AFF1), [0, 1, 2, 3], None),
+            ((AFF2, A3), [3, 0, 4, 1, 2], None),
+        ],
+    )
+    def test_orders_match_oracle_on_direct_sums(self, blocks, word, expected):
+        rows = oracles.direct_sum(*blocks)
+        W = group(rows)
+        assert assert_order_matches_oracle(W.from_word(word)) == expected
+        perm = list(range(len(rows)))
+        random.Random(len(word)).shuffle(perm)
+        W = group(oracles.permuted(rows, perm))
+        shuffled = W.from_word(perm[k] for k in word)
+        assert assert_order_matches_oracle(shuffled) == expected
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        bonds=st.lists(st.sampled_from([(0, 0), (-1, -1), (-1, -2), (-2, -1),
+                                        (-1, -3), (-2, -2), (-1, -4), (-3, -2)]),
+                       min_size=6, max_size=6),
+        n=st.integers(2, 4),
+        word=st.lists(st.integers(0, 3), max_size=8),
+    )
+    def test_order_property_against_oracle(self, bonds, n, word):
+        rows = [[2] * n for _ in range(n)]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for (i, j), (a, b) in zip(pairs, bonds):
+            rows[i][j], rows[j][i] = a, b
+        assert_order_matches_oracle(group(rows).from_word(k % n for k in word))
+
+    def test_product_count(self, monkeypatch):
+        calls = []
+        product = weyl.mat_mul
+
+        def counting(a, b):
+            calls.append(1)
+            return product(a, b)
+
+        monkeypatch.setattr(weyl, "mat_mul", counting)
+        cases = [(AFF1, [0, 1]), (affine_a(4), range(5)), (A3, [0, 1, 2]),
+                 (B2, [0, 1]), (A2, [0]), (A2, [])]
+        for rows, word in cases:
+            w = group(rows).from_word(word)
+            calls.clear()
+            order = w.order()
+            if order is None:
+                assert calls == []
+            else:
+                assert 0 < len(calls) <= 2 * order.bit_length(), (rows, order)
+
+    def test_recheck_refuses_a_false_hit(self, monkeypatch):
+        # the scan's hit is only accepted once w^k is computed to be e
+        w = group(A2).from_word([0, 1])
+        monkeypatch.setattr(weyl.WeylElement, "is_identity", property(lambda s: False))
+        with pytest.raises(RuntimeError, match="all heights 1"):
+            w.order()
 
     def test_infinite_order_is_none(self):
         W = group(AFF1)
