@@ -15,8 +15,9 @@ from .coxeter import (
     coxeter_matrix,
     graph_strong_connectivity,
     nerve_strong_connectivity,
+    strongly_connected_graph,
 )
-from .gcm import FINITE, GeneralizedCartanMatrix, classify, scalars
+from .gcm import GeneralizedCartanMatrix, classify, scalars
 from .parabolics import EssentialPoset, essential_subsets
 
 
@@ -126,12 +127,13 @@ def indecomposability_verdict(
     p, e = prime_power(q)
     verdict = classify(gcm)
     sc = scalars(gcm)
-    ends = ends_verdict(gcm)
+    # ends_verdict's one_ended without the nerve; finite types enumerate nothing
+    one_ended = not verdict.all_finite and strongly_connected_graph(coxeter_matrix(gcm))
     m = sc.max_abs_offdiag
     q_bound_ok = m <= 1 or (m == 2 and q >= 3) or (m == 3 and q >= 4)
     # each sufficient criterion with its hypotheses, tried in this order
     criteria = {
-        "criterion_i": {"one_ended": ends.one_ended, "p_gt_max_abs_offdiag": p > m},
+        "criterion_i": {"one_ended": one_ended, "p_gt_max_abs_offdiag": p > m},
         "criterion_ii": {"two_spherical": sc.two_spherical, "q_bound_ok": q_bound_ok},
     }
     checklist = {"indecomposable": verdict.indecomposable,

@@ -304,16 +304,14 @@ def parabolic_closure_search(
     words; the key minimized is (essential-part size, support size), ties
     resolved by scan order.
     """
-    best = None
-    for v in group.ball_sorted(depth, generators=generators, budget=budget):
+    def candidate(v):
         conj = v.inverse() * element * v
         supp = conj.support
         ess = group.diagram.decompose(supp).essential_part
-        key = (len(ess), len(supp))
-        if best is None or key < best[0]:
-            best = (key, v, conj, supp, ess)
-    assert best is not None
-    _, v, conj, supp, ess = best
+        return (len(ess), len(supp)), v, conj, supp, ess
+
+    ball = group.ball(depth, generators=generators, budget=budget)
+    _, v, conj, supp, ess = min(map(candidate, ball), key=lambda c: c[0])
     return ClosureCertificate(
         element=element,
         conjugator=v,
@@ -352,7 +350,7 @@ def find_j_regular(
     depth: int,
     budget: int | None = DEFAULT_BUDGET,
 ) -> JRegularCertificate | None:
-    """Scan W_J by length then word for an element passing all four checks.
+    """Scan W_J - {e} by length then word for one passing all four checks.
 
     Returns None when no element of length <= max_len passes; the bounds
     make every accepted certificate checkable but never prove that smaller
@@ -362,9 +360,7 @@ def find_j_regular(
     all_roots = positive_real_roots(group, max_height, budget=budget)
     in_subset, _ = split_by_support(all_roots, subset)
     torsion_bound = group.max_spherical_order
-    for w in group.ball_sorted(max_len, generators=subset, budget=budget):
-        if w.is_identity:
-            continue
+    for w in group.ball(max_len, generators=subset, budget=budget)[1:]:
         if w.order(torsion_bound) is not None:
             continue
         if not w.is_straight(power_bound):

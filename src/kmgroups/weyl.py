@@ -108,41 +108,44 @@ class WeylGroup:
         budget: int | None = DEFAULT_BUDGET,
     ) -> list["WeylElement"]:
         """All elements of length <= radius (within the standard subgroup
-        generated by ``generators`` if given), in breadth-first order.
+        W_J generated by ``generators`` if given), length-lexicographic by
+        canonical word; each element carries its word.
+
+        If w has length l + 1 and smallest right descent k, peeling takes k
+        first, so w's canonical word is that of u = w s_k (length l) then k.
+        So level l + 1 walks u over level l in order and k ascending with
+        u(alpha_k) > 0, and keeps w = u s_k when no j < k is a right descent
+        of w; w(alpha_j) = u(alpha_j) - a_kj u(alpha_k) comes off u's columns.
+        Each w is found once, and in sorted order as level l is.  The right
+        descents of an element of W_J lie in J, so only j in J are checked.
 
         Raises :class:`BudgetExceededError` past ``budget`` elements.
         """
-        gens = sorted(generators) if generators is not None else list(range(self.rank))
-        seen = {self._identity_rows}
-        out = [self.identity]
-        frontier = [self._identity_rows]
+        gens = sorted(set(generators)) if generators is not None else range(self.rank)
+        if gens and not 0 <= gens[0] <= gens[-1] < self.rank:
+            raise IndexError(f"generator indices {gens} out of range")
+        out, level = [self.identity], [self.identity]
         for _ in range(radius):
             nxt = []
-            for rows in frontier:
-                for k in gens:
-                    new = self._right_mul_gen(rows, k)
-                    if new in seen:
+            for u in level:
+                cols = tuple(zip(*u.rows))
+                for pos, k in enumerate(gens):
+                    col_k, a_k = cols[k], self.gcm.entries[k]
+                    if root_sign(col_k) < 0 or any(
+                        root_sign([x - a_k[j] * y for x, y in zip(cols[j], col_k)]) < 0
+                        for j in gens[:pos]
+                    ):
                         continue
-                    seen.add(new)
-                    if budget is not None and len(seen) > budget:
+                    w = WeylElement(self, self._right_mul_gen(u.rows, k))
+                    w.word = u.word + (k,)
+                    nxt.append(w)
+                    out.append(w)
+                    if budget is not None and len(out) > budget:
                         raise BudgetExceededError("element ball", budget)
-                    nxt.append(new)
-                    out.append(WeylElement(self, new))
             if not nxt:
                 break
-            frontier = nxt
+            level = nxt
         return out
-
-    def ball_sorted(
-        self,
-        radius: int,
-        generators: Iterable[int] | None = None,
-        budget: int | None = DEFAULT_BUDGET,
-    ) -> list["WeylElement"]:
-        """The ball ordered length-lexicographically by canonical word."""
-        return sorted(
-            self.ball(radius, generators, budget), key=lambda w: (w.length, w.word)
-        )
 
     def longest_element(self, subset: Iterable[int]) -> "WeylElement":
         """The longest element of a spherical standard subgroup.
@@ -204,16 +207,15 @@ class WeylElement:
         return WeylElement(self.group, mat_mul(self.rows, other.rows))
 
     def __pow__(self, n: int) -> "WeylElement":
+        # bits left to right: bit_length + popcount - 2 products
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.group.identity
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        result = self
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
+        return result if n else self.group.identity
 
     @property
     def is_identity(self) -> bool:

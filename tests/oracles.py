@@ -158,10 +158,14 @@ def enumerate_group(gcm, cap):
     return True, len(seen)
 
 
-def ball_matrices(gcm, radius):
-    """All group elements of word length <= radius, as matrix key tuples."""
+def ball_matrices(gcm, radius, generators=None):
+    """All group elements of word length <= radius, as matrix key tuples.
+
+    ``generators`` restricts the search to a standard subgroup; repeats are
+    harmless.
+    """
     n = len(gcm)
-    gens = [generator_matrix(gcm, i) for i in range(n)]
+    gens = [generator_matrix(gcm, i) for i in (range(n) if generators is None else generators)]
     start = eye(n)
     seen = {to_key(start)}
     frontier = [start]
@@ -176,6 +180,33 @@ def ball_matrices(gcm, radius):
                     nxt.append(cand)
         frontier = nxt
     return seen
+
+
+def peel_word(gcm, key):
+    """Canonical reduced word of a matrix: strip the smallest right descent.
+
+    A right descent is a generator whose column (the image of its simple
+    root) is negative.  The letters come off the right end of the word.
+    """
+    n = len(gcm)
+    ident = eye(n)
+    cur = [list(row) for row in key]
+    letters = []
+    while cur != ident:
+        k = min(j for j in range(n) if any(cur[r][j] < 0 for r in range(n)))
+        letters.append(k)
+        cur = mul(cur, generator_matrix(gcm, k))
+    return tuple(reversed(letters))
+
+
+def sorted_ball(gcm, radius, generators=None):
+    """The ball as (canonical word, matrix key) pairs, by length then word.
+
+    The seen-set search of ``ball_matrices``, then a sort by the words
+    peeled from each matrix.
+    """
+    pairs = [(peel_word(gcm, key), key) for key in ball_matrices(gcm, radius, generators)]
+    return sorted(pairs, key=lambda pair: (len(pair[0]), pair[0]))
 
 
 def matrix_order(mat, cap):

@@ -1,7 +1,11 @@
 """Verdict layer: ends, local indecomposability, structure reports."""
 
+import itertools
+import random
+
 import pytest
 
+import oracles
 from kmgroups import (
     CriterionFailure,
     GeneralizedCartanMatrix,
@@ -12,6 +16,7 @@ from kmgroups import (
     open_subgroup_report,
     prime_power,
 )
+from test_gcm import BOND_PAIRS
 
 A2 = [[2, -1], [-1, 2]]
 AFF1 = [[2, -2], [-2, 2]]
@@ -144,6 +149,20 @@ class TestIndecomposability:
     def test_invalid_q_raises(self):
         with pytest.raises(NotPrimePowerError):
             indecomposability_verdict(gcm(A2), 6)
+
+    def test_one_ended_matches_ends_verdict(self):
+        cases = [[[2, a, b], [c, 2, d], [e, f, 2]]
+                 for (a, c), (b, e), (d, f) in itertools.product(BOND_PAIRS, repeat=3)]
+        rng = random.Random(8)
+        cases += [oracles.random_gcm(rng, rng.randint(2, 6), density=0.5, deepest=3)
+                  for _ in range(200)]
+        seen = set()
+        for rows in cases:
+            g = gcm(rows)
+            one_ended = ends_verdict(g).one_ended
+            assert indecomposability_verdict(g, 2).checklist["one_ended"] == one_ended, rows
+            seen.add(one_ended)
+        assert seen == {False, True}
 
 
 class TestOpenSubgroupReport:

@@ -273,6 +273,15 @@ class TestExitCodes:
         assert payload["one_ended"] is False
         assert payload["nerve_agreement"] is True
 
+    def test_indec_of_finite_a40_is_quick(self):
+        # finite type decides one_ended without enumerating spherical subsets
+        proc = run_km("indec", "-", "--q", "2", stdin=finite_a_text(40), timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)["payload"]
+        assert payload["by"] == "finite_type"
+        assert payload["checklist"]["finite_type"] is True
+        assert payload["checklist"]["one_ended"] is False
+
     def test_poset_of_finite_a20_is_quick(self):
         # a finite diagram has no non-spherical component to scan
         proc = run_km("poset", "-", stdin=finite_a_text(20), timeout=20)

@@ -1,0 +1,34 @@
+"""Source hygiene checks that need no linter: only the standard library."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "kmgroups"
+
+
+def unused_imports(tree):
+    """Names bound by the module's top-level imports and never read."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_unused_imports_are_found():
+    tree = ast.parse("import os\nfrom a import b as c, d\nimport x.y\nd(x)\n")
+    assert unused_imports(tree) == [(1, "os"), (2, "c")]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC))
+)
+def test_every_top_level_import_is_used(path):
+    assert unused_imports(ast.parse(path.read_text())) == []

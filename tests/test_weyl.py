@@ -48,6 +48,25 @@ def assert_order_matches_oracle(w):
     return expected
 
 
+def power_products(n):
+    """Products that left-to-right square-and-multiply spends on w**n."""
+    return n.bit_length() + bin(n).count("1") - 2 if n else 0
+
+
+@pytest.fixture
+def count_products(monkeypatch):
+    """A list that gains one entry for each matrix product of two elements."""
+    calls = []
+    product = weyl.mat_mul
+
+    def counting(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(weyl, "mat_mul", counting)
+    return calls
+
+
 class TestBasics:
     def test_generator_action(self):
         W = group(A2)
@@ -180,9 +199,23 @@ class TestBalls:
             W.ball(50, budget=20)
         assert exc.value.budget == 20
 
+    def test_ball_budget_boundary(self):
+        # the budget counts the identity and raises on element budget + 1
+        W = group(A2)
+        assert len(W.ball(10, budget=6)) == 6
+        with pytest.raises(BudgetExceededError):
+            W.ball(10, budget=5)
+        assert W.ball(0, budget=0) == [W.identity]
+
+    def test_radius_zero_is_identity(self):
+        for rows in (A2, AFF2):
+            W = group(rows)
+            assert W.ball(0) == [W.identity]
+            assert W.ball(0, generators=[1]) == [W.identity]
+
     def test_ball_sorted_order(self):
         W = group(A2)
-        words = [w.word for w in W.ball_sorted(10)]
+        words = [w.word for w in W.ball(10)]
         assert words == [
             (),
             (0,),
@@ -191,6 +224,56 @@ class TestBalls:
             (1, 0),
             (0, 1, 0),
         ]
+
+    def test_out_of_range_generators_raise(self):
+        W = group(A3)
+        for gens in ([3], [-1, 0], [0, 1, 5]):
+            with pytest.raises(IndexError):
+                W.ball(2, generators=gens)
+
+    def test_generator_order_and_repeats_do_not_matter(self):
+        W = group(affine_a(3))
+        expected = [(w.rows, w.word) for w in W.ball(4, generators=[0, 1, 3])]
+        for gens in ([3, 1, 0], [1, 3, 0, 3, 1], (k for k in [0, 0, 1, 3])):
+            assert [(w.rows, w.word) for w in W.ball(4, generators=gens)] == expected
+
+    def test_ball_elements_carry_their_words(self, monkeypatch):
+        W = group(AFF2)
+        ball = W.ball(4, generators=[0, 2])
+
+        def no_peeling(self, tie_break="smallest"):
+            raise AssertionError("ball element peeled its word")
+
+        monkeypatch.setattr(weyl.WeylElement, "reduced_word", no_peeling)
+        for w in ball:
+            assert W.from_word(w.word) == w
+            assert w.length == len(w.word) and w.support == frozenset(w.word)
+            assert (w * w.inverse()).is_identity
+
+    def test_ball_against_sorted_oracle(self):
+        # the old route (seen-set search, then a sort by peeled words) as oracle
+        rng = random.Random(8)
+        raised = 0
+        for case in range(400):
+            n = rng.randint(2, 5)
+            rows = oracles.random_gcm(rng, n, density=0.5, deepest=rng.choice([1, 2, 3]))
+            radius = rng.randint(0, 5)
+            gens = None
+            if case % 2:
+                gens = [rng.randrange(n) for _ in range(rng.randint(1, n + 1))]
+            W = group(rows)
+            expected = oracles.sorted_ball(rows, radius, gens)
+            mine = W.ball(radius, generators=gens)
+            assert [(w.word, w.rows) for w in mine] == expected, (rows, radius, gens)
+            assert all(w.word == w.reduced_word() for w in mine)
+            budget = rng.randint(1, len(expected) + 2)
+            if budget < len(expected):
+                raised += 1
+                with pytest.raises(BudgetExceededError):
+                    W.ball(radius, generators=gens, budget=budget)
+            else:
+                assert len(W.ball(radius, generators=gens, budget=budget)) == len(expected)
+        assert raised > 100
 
 
 class TestLongestElement:
@@ -291,25 +374,25 @@ class TestOrder:
             rows[i][j], rows[j][i] = a, b
         assert_order_matches_oracle(group(rows).from_word(k % n for k in word))
 
-    def test_product_count(self, monkeypatch):
-        calls = []
-        product = weyl.mat_mul
-
-        def counting(a, b):
-            calls.append(1)
-            return product(a, b)
-
-        monkeypatch.setattr(weyl, "mat_mul", counting)
+    def test_product_count(self, count_products):
         cases = [(AFF1, [0, 1]), (affine_a(4), range(5)), (A3, [0, 1, 2]),
                  (B2, [0, 1]), (A2, [0]), (A2, [])]
         for rows, word in cases:
             w = group(rows).from_word(word)
-            calls.clear()
+            count_products.clear()
             order = w.order()
             if order is None:
-                assert calls == []
+                assert count_products == []
             else:
-                assert 0 < len(calls) <= 2 * order.bit_length(), (rows, order)
+                assert len(count_products) == power_products(order), (rows, order)
+
+    def test_power_product_count(self, count_products):
+        w = group(AFF2).from_word([0, 1, 2])
+        for n in range(71):
+            count_products.clear()
+            power = w**n
+            assert len(count_products) == power_products(n), n
+            assert power == w.group.from_word([0, 1, 2] * n)
 
     def test_recheck_refuses_a_false_hit(self, monkeypatch):
         # the scan's hit is only accepted once w^k is computed to be e
