@@ -8,7 +8,7 @@ combinatorial predicates; only the combinatorics is computed here.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import BadInputError
 from .coxeter import (
@@ -18,7 +18,9 @@ from .coxeter import (
     strongly_connected_graph,
 )
 from .gcm import GeneralizedCartanMatrix, classify, scalars
-from .parabolics import EssentialPoset, essential_subsets
+
+if TYPE_CHECKING:  # the reports import it when they run; the verdicts never do
+    from .parabolics import EssentialPoset
 
 
 class NotPrimePowerError(BadInputError):
@@ -191,6 +193,8 @@ _OPEN_SEMANTICS = (
 
 
 def open_subgroup_report(gcm: GeneralizedCartanMatrix) -> OpenSubgroupReport:
+    from .parabolics import EssentialPoset
+
     diagram = coxeter_matrix(gcm)
     poset = EssentialPoset.build(diagram)
     full = frozenset(range(diagram.rank))
@@ -258,6 +262,8 @@ def locally_normal_report(gcm: GeneralizedCartanMatrix) -> StructureReport:
     of the perp of J); the lower bound refines to L+_J times U over the
     perp-closure of J.
     """
+    from .parabolics import essential_subsets
+
     diagram = coxeter_matrix(gcm)
     records = []
     compact_or_open = True

@@ -10,8 +10,8 @@ inclusion of essential parts.
 from __future__ import annotations
 
 import enum
-import itertools
 from collections.abc import Iterable
+from functools import cache
 from typing import NamedTuple
 
 from . import BadInputError
@@ -50,29 +50,9 @@ class MoveVerificationError(RuntimeError):
     """Conjugation by a move element did not land on generator matrices."""
 
 
-def all_subsets(base: Iterable[int]) -> list[frozenset[int]]:
-    """Every subset of ``base``, sorted by size then members.
-
-    >>> [sorted(s) for s in all_subsets({2, 0})]
-    [[], [0], [2], [0, 2]]
-    """
-    members = sorted(base)
-    return [
-        frozenset(c)
-        for size in range(len(members) + 1)
-        for c in itertools.combinations(members, size)
-    ]
-
-
 def essential_subsets(diagram: CoxeterDiagram) -> tuple[frozenset[int], ...]:
-    """All essential subsets (the empty set included), sorted by size then members.
-
-    Only the non-spherical components are scanned: a subset of a spherical
-    component is spherical, so no essential subset meets one."""
-    base = [
-        i for c in diagram.components() if diagram.spherical_type(c) is None for i in c
-    ]
-    return tuple(s for s in all_subsets(base) if diagram.decompose(s).is_essential)
+    """All essential subsets (the empty set included), sorted by size then members."""
+    return EssentialPoset.build(diagram).elements
 
 
 class Comparison(enum.Enum):
@@ -111,40 +91,80 @@ class EssentialPoset(NamedTuple):
 
     @classmethod
     def build(cls, diagram: CoxeterDiagram) -> "EssentialPoset":
-        """The essential subsets with their Hasse covers.
+        """The essential subsets and their Hasse covers, by one breadth-first
+        walk along covers from the least element, the empty set.
 
-        The covers of an element are its minimal essential strict supersets.
-        The elements must be sorted by size (``essential_subsets`` does so),
-        so every strict superset of an element comes after it.  A later b
-        that contains a is a cover of a unless it contains a cover of a
-        already found: a set strictly between a and b contains a cover of a,
-        which is smaller than b and so was found first.  The pairs come out
-        sorted.
+        Let a be essential and N(a) its defining-graph neighbours outside a.
+        The covers of a are a + {x} for x in N(a), and a + D for each minimal
+        non-spherical D (all proper subsets spherical) disjoint from a + N(a).
+        Proof sketch: let b = a + D cover a.  If some x in D touches a, then
+        a + {x} is essential (x joins a non-spherical component), so b is it.
+        Otherwise each component of D is one of b, so non-spherical, and a
+        minimal non-spherical subset of it (connected) is essential with a:
+        so D is minimal non-spherical.  Conversely a + D is essential, and for
+        D' a proper subset of D, a + D' has the spherical components of D'.
+        A minimal non-spherical set is connected, so it is S + {x} for a
+        connected spherical S in a non-spherical component and a neighbour x
+        (drop a non-cut vertex).  Elements sort by (size, members).
 
         >>> from kmgroups import GeneralizedCartanMatrix, coxeter_matrix
         >>> rows = [[2, -2, -2], [-2, 2, -2], [-2, -2, 2]]
         >>> poset = EssentialPoset.build(
         ...     coxeter_matrix(GeneralizedCartanMatrix.from_rows(rows)))
-        >>> len(poset.elements)
-        5
+        >>> [sorted(s) for s in poset.elements]
+        [[], [0, 1], [0, 2], [1, 2], [0, 1, 2]]
         >>> poset.hasse
         ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4))
         """
-        elements = essential_subsets(diagram)
-        masks = [sum(1 << i for i in s) for s in elements]
-        covers = []
-        for a, small in enumerate(masks):
-            found: list[int] = []
-            for b, large in enumerate(masks[a + 1:], a + 1):
-                if large & small != small:
-                    continue
-                for cover in found:
-                    if cover & large == cover:
-                        break
-                else:
-                    found.append(large)
-                    covers.append((a, b))
-        return cls(diagram=diagram, elements=elements, hasse=tuple(covers))
+        neighbours = [0] * diagram.rank
+        for i, j in diagram.edges():
+            neighbours[i] |= 1 << j
+            neighbours[j] |= 1 << i
+
+        def members(mask):
+            return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+        spherical = cache(lambda mask: diagram.is_spherical(members(mask)))
+
+        def near(mask):  # mask with its defining-graph neighbours
+            for i in members(mask):
+                mask |= neighbours[i]
+            return mask
+
+        # grow connected spherical sets; a one-vertex step out of one that is
+        # not spherical is minimal non-spherical when every face is spherical
+        level = [1 << i for c in diagram.components()
+                 if diagram.spherical_type(c) is None for i in c]
+        seen, minimal = set(level), []
+        while level:
+            grown = []
+            for s in level:
+                for x in members(near(s) & ~s):
+                    t = s | 1 << x
+                    if t in seen:
+                        continue
+                    seen.add(t)
+                    if spherical(t):
+                        grown.append(t)
+                    elif all(spherical(t & ~(1 << y)) for y in members(t)):
+                        minimal.append(t)
+            level = grown
+        order, reached, pairs = [0], {0}, []
+        for a in order:  # breadth first: the list grows while it is read
+            closed = near(a)
+            for b in ([a | 1 << x for x in members(closed & ~a)]
+                      + [a | d for d in minimal if not d & closed]):
+                pairs.append((a, b))
+                if b not in reached:
+                    reached.add(b)
+                    order.append(b)
+        ranked = sorted((m.bit_count(), members(m), m) for m in order)
+        index = {m: k for k, (_, _, m) in enumerate(ranked)}
+        return cls(
+            diagram=diagram,
+            elements=tuple(frozenset(s) for _, s, _ in ranked),
+            hasse=tuple(sorted((index[a], index[b]) for a, b in pairs)),
+        )
 
     def class_label(self, subset: frozenset[int]) -> str:
         return f"[W_{self.diagram.label_set(subset)}]"
@@ -304,22 +324,22 @@ def parabolic_closure_search(
     words; the key minimized is (essential-part size, support size), ties
     resolved by scan order.
     """
+    return _closure_over(group.ball(depth, generators=generators, budget=budget),
+                         element, depth)
+
+
+def _closure_over(
+    ball: list[WeylElement], element: WeylElement, depth: int
+) -> ClosureCertificate:
+    """``parabolic_closure_search`` over a ball already built."""
     def candidate(v):
         conj = v.inverse() * element * v
         supp = conj.support
-        ess = group.diagram.decompose(supp).essential_part
+        ess = element.group.diagram.decompose(supp).essential_part
         return (len(ess), len(supp)), v, conj, supp, ess
 
-    ball = group.ball(depth, generators=generators, budget=budget)
     _, v, conj, supp, ess = min(map(candidate, ball), key=lambda c: c[0])
-    return ClosureCertificate(
-        element=element,
-        conjugator=v,
-        conjugate=conj,
-        support=supp,
-        essential_support=ess,
-        depth=depth,
-    )
+    return ClosureCertificate(element, v, conj, supp, ess, depth)
 
 
 class JRegularCertificate(NamedTuple):
@@ -360,14 +380,15 @@ def find_j_regular(
     all_roots = positive_real_roots(group, max_height, budget=budget)
     in_subset, _ = split_by_support(all_roots, subset)
     torsion_bound = group.max_spherical_order
+    closure_ball = None  # one ball for every candidate that gets that far
     for w in group.ball(max_len, generators=subset, budget=budget)[1:]:
         if w.order(torsion_bound) is not None:
             continue
         if not w.is_straight(power_bound):
             continue
-        closure = parabolic_closure_search(
-            group, w, depth, generators=subset, budget=budget
-        )
+        if closure_ball is None:
+            closure_ball = group.ball(depth, generators=subset, budget=budget)
+        closure = _closure_over(closure_ball, w, depth)
         if closure.support != subset:
             continue
         if periodic_roots(w, in_subset, power_bound):

@@ -331,6 +331,63 @@ def hasse_covers(sets):
     return sorted(covers)
 
 
+def all_subsets(base):
+    """Every subset of ``base``, sorted by size then members.
+
+    >>> [sorted(s) for s in all_subsets({2, 0})]
+    [[], [0], [2], [0, 2]]
+    """
+    members = sorted(base)
+    return [
+        frozenset(c)
+        for size in range(len(members) + 1)
+        for c in itertools.combinations(members, size)
+    ]
+
+
+def essential_scan(diagram):
+    """Every essential subset of a Coxeter diagram, sorted by size then
+    members: all 2^k subsets of the non-spherical components, each
+    decomposed.  ``diagram`` is duck-typed (``components``,
+    ``spherical_type``, ``decompose``)."""
+    base = [
+        i for c in diagram.components() if diagram.spherical_type(c) is None for i in c
+    ]
+    return tuple(s for s in all_subsets(base) if diagram.decompose(s).is_essential)
+
+
+def bitmask_covers(sets):
+    """Sorted Hasse pairs of sets given by size, from one bitmask scan.
+
+    A later set b that contains a covers a unless it contains a cover of a
+    already found, so this is quadratic in the number of sets.
+
+    >>> bitmask_covers([set(), {0}, {1}, {0, 1}])
+    [(0, 1), (0, 2), (1, 3), (2, 3)]
+    """
+    masks = [sum(1 << i for i in s) for s in sets]
+    covers = []
+    for a, small in enumerate(masks):
+        found = []
+        for b, large in enumerate(masks[a + 1:], a + 1):
+            if large & small == small and not any(c & large == c for c in found):
+                found.append(large)
+                covers.append((a, b))
+    return covers
+
+
+def minimal_non_spherical(diagram):
+    """The non-spherical subsets whose proper subsets are all spherical, by
+    brute force over every subset; ``diagram`` needs ``rank`` and
+    ``is_spherical``."""
+    return [
+        s
+        for s in all_subsets(range(diagram.rank))
+        if not diagram.is_spherical(s)
+        and all(diagram.is_spherical(s - {i}) for i in s)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Seeded random inputs.
 

@@ -290,6 +290,20 @@ class TestExitCodes:
         assert [c["set"] for c in payload["classes"]] == [[]]
         assert payload["hasse"] == []
 
+    def test_poset_of_affine_a_rank30_is_quick(self):
+        # the cover walk: 2^30 subsets would take hours to scan
+        n = 30
+        text = "".join(
+            " ".join("2" if i == j else "-1" if (i - j) % n in (1, n - 1) else "0"
+                     for j in range(n)) + "\n"
+            for i in range(n)
+        )
+        proc = run_km("poset", "-", stdin=text, timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)["payload"]
+        assert len(payload["classes"]) == 2
+        assert payload["hasse"] == [[0, 1]]
+
     def test_report_of_complete_rank12_is_quick(self):
         n = 12
         text = "".join(

@@ -1,11 +1,13 @@
 """Source hygiene checks that need no linter: only the standard library."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "kmgroups"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "kmgroups"
 
 
 def unused_imports(tree):
@@ -32,3 +34,25 @@ def test_unused_imports_are_found():
 )
 def test_every_top_level_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def layer_hooks():
+    """``HOOKS`` of ``perfbench/layer_trace.py``, read from its source:
+    hook name -> (module, attribute path, hot leaf?)."""
+    tree = ast.parse((ROOT / "perfbench" / "layer_trace.py").read_text())
+    return next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["HOOKS"]
+    )
+
+
+@pytest.mark.parametrize("hook", sorted(layer_hooks().items()), ids=lambda h: h[0])
+def test_every_layer_hook_resolves(hook):
+    # the tracer wraps these by name: a rename would break ``--trace 1``
+    name, (module, path, _) = hook
+    owner = importlib.import_module(module)
+    for part in path.split("."):
+        assert hasattr(owner, part), f"hook {name}: {module}.{path} has no {part!r}"
+        owner = getattr(owner, part)

@@ -23,7 +23,6 @@ from kmgroups import (
     parabolic_closure_search,
     standard_conjugacy,
 )
-from kmgroups.parabolics import all_subsets
 from test_coxeter import subset_sweep
 from test_gcm import BOND_PAIRS
 
@@ -76,7 +75,8 @@ class TestEssentialSubsets:
         for rows in subset_sweep(catalog_gcms):
             d = diagram(rows)
             expected = tuple(
-                s for s in all_subsets(d.index_set) if d.decompose(s).essential_part == s
+                s for s in oracles.all_subsets(d.index_set)
+                if d.decompose(s).essential_part == s
             )
             assert essential_subsets(d) == expected, rows
             restricted += any(d.is_spherical(c) for c in d.components())
@@ -170,7 +170,7 @@ class TestHasseCovers:
         assert longest > 100  # the sweep reaches posets with many covers
 
     @pytest.mark.parametrize("c", [2, 3])
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_complete_matrix_closed_form(self, n, c):
         # every set of two or more generators is essential; singletons are not
         poset = EssentialPoset.build(diagram(complete(n, c)))
@@ -178,6 +178,60 @@ class TestHasseCovers:
         assert len(poset.hasse) == math.comb(n, 2) + sum(
             k * math.comb(n, k) for k in range(3, n + 1)
         )
+
+
+class TestCoverWalk:
+    """The breadth-first walk along covers against the 2^k scan and the
+    bitmask cover loop of ``oracles``."""
+
+    @staticmethod
+    def assert_matches_scan(rows):
+        d = diagram(rows)
+        poset = EssentialPoset.build(d)
+        expected = oracles.essential_scan(d)
+        assert poset.elements == expected, rows
+        assert list(poset.hasse) == oracles.bitmask_covers(expected), rows
+        return poset
+
+    def test_matches_the_scan_on_the_subset_sweep(self, catalog_gcms):
+        # the catalog, the rank-3 BOND_PAIRS sweep, random matrices and
+        # direct sums with a finite part, plain and permuted
+        for rows in subset_sweep(catalog_gcms):
+            self.assert_matches_scan(rows)
+
+    def test_matches_the_scan_on_sums_of_infinite_blocks(self):
+        rng = random.Random(20261023)
+        sums = [
+            oracles.direct_sum(AFF2, complete(3, 2)),
+            oracles.direct_sum(MIXED, A2, AFF1),
+            oracles.direct_sum(AFF1, AFF1, AFF1),
+            oracles.direct_sum(complete(3, 3), A3, oracles.random_gcm(rng, 3, 0.8, 3)),
+        ]
+        for rows in sums:
+            perm = list(range(len(rows)))
+            rng.shuffle(perm)
+            self.assert_matches_scan(rows)
+            self.assert_matches_scan(oracles.permuted(rows, perm))
+
+    def test_matches_the_scan_on_random_matrices(self):
+        rng = random.Random(20261024)
+        sizes = []
+        for _ in range(1500):
+            rows = oracles.random_gcm(rng, rng.randint(2, 8),
+                                      density=rng.choice([0.2, 0.4, 0.7]), deepest=3)
+            sizes.append(len(self.assert_matches_scan(rows).elements))
+        assert sum(k > 1 for k in sizes) > 900 and max(sizes) > 100
+
+    def test_covers_of_the_empty_set_are_the_minimal_non_spherical_sets(self):
+        # N(empty) is empty, so the rule's other covers are exactly M
+        rng = random.Random(20261025)
+        for _ in range(500):
+            rows = oracles.random_gcm(rng, rng.randint(2, 8),
+                                      density=rng.choice([0.3, 0.6, 0.9]), deepest=2)
+            d = diagram(rows)
+            poset = EssentialPoset.build(d)
+            covers = [poset.elements[b] for a, b in poset.hasse if a == 0]
+            assert covers == oracles.minimal_non_spherical(d), rows
 
 
 class TestDeodharMove:
@@ -350,6 +404,23 @@ class TestFindJRegular:
         assert cert.element.word == (0, 1, 0, 2)
         assert cert.roots_checked == 24
         assert cert.closure.support == {0, 1, 2}
+
+    def test_search_builds_each_ball_once(self, monkeypatch):
+        # the candidate ball and one closure ball, however many candidates
+        # reach the closure check (seven here)
+        calls = []
+        ball = WeylGroup.ball
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return ball(self, *args, **kwargs)
+
+        monkeypatch.setattr(WeylGroup, "ball", counting)
+        W = group([[2, -1, -1, 0], [-1, 2, -1, 0], [-1, -1, 2, -1], [0, 0, -1, 2]])
+        cert = find_j_regular(W, {0, 1, 2}, 4, 6, 6, 3)
+        assert cert.element.word == (0, 1, 0, 2)
+        assert cert.closure.depth == 3
+        assert calls == [(4,), (3,)]
 
     def test_certificate_power_stability(self):
         W = group(AFF1)

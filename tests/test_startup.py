@@ -88,6 +88,14 @@ def test_light_commands_load_no_heavy_engine(name, catalog_paths):
     assert not names & HEAVY
 
 
+@pytest.mark.parametrize("name", ("ends", "indec"))
+def test_verdicts_load_neither_parabolics_nor_roots(name, catalog_paths):
+    rc, names = km_imports(name, catalog_paths)
+    assert rc == 0
+    assert "kmgroups.analysis" in names
+    assert not names & {"kmgroups.parabolics", "kmgroups.roots"}
+
+
 @pytest.mark.parametrize("name", sorted(ARGV))
 def test_no_command_loads_dataclasses(name, catalog_paths):
     rc, names = km_imports(name, catalog_paths)
