@@ -191,10 +191,10 @@ def _conjugate_generator_set(
     group: WeylGroup, element: WeylElement, subset: Iterable[int]
 ) -> frozenset[int]:
     """The set K with element^{-1} * subset * element = K, matrix-verified."""
-    inv = element.inverse()
+    inv = element.inverse().rows
     out = set()
     for j in sorted(subset):
-        conj = inv * group.generator(j) * element
+        conj = WeylElement(group, group._right_mul_gen(inv, j)) * element
         for k in range(group.rank):
             if conj == group.generator(k):
                 out.add(k)

@@ -75,27 +75,22 @@ def positive_real_roots(
     [(1, 0), (0, 1), (1, 1)]
     """
     n = group.rank
-    a = group.gcm.entries
-    roots: list[RealRoot] = []
-    seen: set[tuple[int, ...]] = set()
-    queue: list[RealRoot] = []
-    for i in range(n):
-        coords = tuple(1 if j == i else 0 for j in range(n))
-        if 1 <= max_height:
-            root = RealRoot(coords, (group.identity, i))
-            seen.add(coords)
-            roots.append(root)
-            queue.append(root)
-    head = 0
-    while head < len(queue):
-        root = queue[head]
-        head += 1
+    roots = [
+        RealRoot(coords, (group.identity, i))
+        for i, coords in enumerate(group._identity_rows)
+    ] if max_height >= 1 else []
+    if budget is not None and len(roots) > budget:
+        raise BudgetExceededError("root enumeration", budget)
+    seen = {root.coords for root in roots}
+    for root in roots:  # grows while it is walked: a breadth-first queue
+        coords = root.coords
         w, i = root.witness  # type: ignore[misc]
         for k in range(n):
-            pairing = sum(a[k][j] * c for j, c in enumerate(root.coords))
+            # <root, alpha_k^vee> needs only the neighbours of k
+            pairing = sum(a * coords[j] for j, a in group._neighbours[k])
             if pairing == 0:
                 continue  # s_k fixes the root
-            new = list(root.coords)
+            new = list(coords)
             new[k] -= pairing
             new_coords = tuple(new)
             if root_sign(new_coords) < 0:
@@ -105,9 +100,8 @@ def positive_real_roots(
             seen.add(new_coords)
             if budget is not None and len(seen) > budget:
                 raise BudgetExceededError("root enumeration", budget)
-            new_root = RealRoot(new_coords, (group.generator(k) * w, i))
-            roots.append(new_root)
-            queue.append(new_root)
+            witness = WeylElement(group, group._left_mul_gen(k, w.rows))
+            roots.append(RealRoot(new_coords, (witness, i)))
     return roots
 
 
@@ -125,13 +119,18 @@ def split_by_support(
 def reflection_of(root: RealRoot) -> WeylElement:
     """The reflection w s_i w^{-1} attached to a witnessed root.
 
-    Checked on construction: the result is an involution sending the root
-    to its negative.
+    Built by right steps: w, then s_i, then the letters of w's word in
+    reverse, which spell w^{-1}.  Checked on construction, by matrix
+    products: the result is an involution sending the root to its negative.
     """
     if root.witness is None:
         raise MissingWitnessError(f"root {root.coords} carries no witness")
     w, i = root.witness
-    refl = w * w.group.generator(i) * w.inverse()
+    group = w.group
+    rows = w.rows
+    for k in (i, *reversed(w.word)):
+        rows = group._right_mul_gen(rows, k)
+    refl = WeylElement(group, rows)
     if refl.apply(root.coords) != tuple(-c for c in root.coords):
         raise RuntimeError(f"reflection for {root.coords} does not negate it")
     if not (refl * refl).is_identity:

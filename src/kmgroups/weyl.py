@@ -7,6 +7,9 @@ j-th simple root.  The generator s_i acts by
     s_i : alpha_j  |->  alpha_j - a_ij * alpha_i
 
 so its matrix is the identity with row i replaced by (delta_ij - a_ij).
+A generator moves only its own root and its Dynkin neighbours, so every
+product with one generator is a sparse step: w s_k changes only the columns
+j with a_kj != 0 (col_j <- col_j - a_kj col_k), and s_k w changes only row k.
 The representation is faithful: a nonidentity element has a right descent i
 and therefore sends alpha_i to a negative root, so its matrix is not the
 identity.  Words, lengths and supports are recovered from the matrix alone
@@ -68,6 +71,10 @@ class WeylGroup:
         self.gcm = gcm
         self.diagram: CoxeterDiagram = coxeter_matrix(gcm)
         n = gcm.rank
+        # k -> ((j, a_kj) for a_kj != 0), the diagonal (k, 2) included
+        self._neighbours = tuple(
+            tuple((j, a) for j, a in enumerate(row) if a) for row in gcm.entries
+        )
         self._identity_rows = identity(n)
         self.identity = WeylElement(self, self._identity_rows)
         self._generators = tuple(
@@ -86,12 +93,26 @@ class WeylGroup:
         return self._generators
 
     def _right_mul_gen(self, rows: Matrix, k: int) -> Matrix:
-        # (w s_k)[i][j] = w[i][j] - w[i][k] * a_kj
-        a_k = self.gcm.entries[k]
-        return tuple(
-            tuple(row[j] - row[k] * a_k[j] for j in range(self.rank))
-            for row in rows
-        )
+        # (w s_k)[i][j] = w[i][j] - w[i][k] * a_kj: a row with w[i][k] = 0
+        # is kept, and only the columns j with a_kj != 0 move
+        neighbours = self._neighbours[k]
+        out = []
+        for row in rows:
+            x = row[k]
+            if x:
+                new = list(row)
+                for j, a in neighbours:
+                    new[j] -= a * x
+                row = tuple(new)
+            out.append(row)
+        return tuple(out)
+
+    def _left_mul_gen(self, k: int, rows: Matrix) -> Matrix:
+        # (s_k w)[k] = w[k] - sum_m a_km w[m]; every other row is kept
+        new = rows[k]
+        for m, a in self._neighbours[k]:
+            new = [x - a * y for x, y in zip(new, rows[m])]
+        return rows[:k] + (tuple(new),) + rows[k + 1 :]
 
     def from_word(self, word: Iterable[int]) -> "WeylElement":
         rows = self._identity_rows
@@ -115,25 +136,37 @@ class WeylGroup:
         first, so w's canonical word is that of u = w s_k (length l) then k.
         So level l + 1 walks u over level l in order and k ascending with
         u(alpha_k) > 0, and keeps w = u s_k when no j < k is a right descent
-        of w; w(alpha_j) = u(alpha_j) - a_kj u(alpha_k) comes off u's columns.
+        of w.  w(alpha_j) = u(alpha_j) - a_kj u(alpha_k) differs from
+        u(alpha_j) only for the neighbours j of k, so only those columns are
+        recomputed; any other j < k is a descent of w iff it is one of u.
         Each w is found once, and in sorted order as level l is.  The right
-        descents of an element of W_J lie in J, so only j in J are checked.
+        descents of an element of W_J lie in J, so u's are read on J alone,
+        and a neighbour j outside J always gives a positive column.
 
-        Raises :class:`BudgetExceededError` past ``budget`` elements.
+        Raises :class:`BudgetExceededError` when the ball would hold more
+        than ``budget`` elements, the identity included.
         """
         gens = sorted(set(generators)) if generators is not None else range(self.rank)
         if gens and not 0 <= gens[0] <= gens[-1] < self.rank:
             raise IndexError(f"generator indices {gens} out of range")
+        if budget is not None and budget < 1:
+            raise BudgetExceededError("element ball", budget)
         out, level = [self.identity], [self.identity]
         for _ in range(radius):
             nxt = []
             for u in level:
                 cols = tuple(zip(*u.rows))
-                for pos, k in enumerate(gens):
+                descents = [j for j in gens if root_sign(cols[j]) < 0]
+                for k in gens:
                     col_k, a_k = cols[k], self.gcm.entries[k]
-                    if root_sign(col_k) < 0 or any(
-                        root_sign([x - a_k[j] * y for x, y in zip(cols[j], col_k)]) < 0
-                        for j in gens[:pos]
+                    if (
+                        k in descents
+                        or any(j < k and not a_k[j] for j in descents)
+                        or any(
+                            root_sign([x - a * y for x, y in zip(cols[j], col_k)]) < 0
+                            for j, a in self._neighbours[k]
+                            if j < k
+                        )
                     ):
                         continue
                     w = WeylElement(self, self._right_mul_gen(u.rows, k))
@@ -237,21 +270,36 @@ class WeylElement:
 
         At each step the image of some simple root is negative (a right
         descent); that index becomes the last letter and is peeled off.
-        ``tie_break`` picks the smallest or largest descent.  Different
-        tie-breaks may give different words but always the same letter set
-        and length.
+        ``tie_break`` picks the ``"smallest"`` or ``"largest"`` descent.
+        Different tie-breaks may give different words but always the same
+        letter set and length.
+
+        The peel works on the list of columns: taking off s_k replaces each
+        column j with a_kj != 0 by col_j - a_kj col_k, so only those columns
+        are re-signed and the descent set is kept up to date.  Once no
+        descent is left, the columns must be the identity's.
         """
+        if tie_break not in ("smallest", "largest"):
+            raise ValueError(
+                f"tie_break must be 'smallest' or 'largest', not {tie_break!r}"
+            )
         pick = min if tie_break == "smallest" else max
+        neighbours = self.group._neighbours
+        cols = [list(col) for col in zip(*self.rows)]
+        descents = {k for k, col in enumerate(cols) if root_sign(col) < 0}
         letters = []
-        cur = self.rows
-        group = self.group
-        while cur != group._identity_rows:
-            descents = [k for k, col in enumerate(zip(*cur)) if root_sign(col) < 0]
-            if not descents:
-                raise RuntimeError("nonidentity element with no descent")
+        while descents:
             k = pick(descents)
             letters.append(k)
-            cur = group._right_mul_gen(cur, k)
+            col_k = cols[k]
+            for j, a in neighbours[k]:
+                col = cols[j] = [x - a * y for x, y in zip(cols[j], col_k)]
+                if root_sign(col) < 0:
+                    descents.add(j)
+                else:
+                    descents.discard(j)
+        if tuple(map(tuple, cols)) != self.group._identity_rows:
+            raise RuntimeError("nonidentity element with no descent")
         letters.reverse()
         return tuple(letters)
 

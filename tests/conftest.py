@@ -9,7 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from kmgroups import catalog
+from kmgroups import catalog, weyl
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -28,6 +28,20 @@ def catalog_paths(tmp_path_factory):
         p.write_text(catalog.read_text(name))
         out[name] = str(p)
     return out
+
+
+@pytest.fixture
+def count_products(monkeypatch):
+    """A list that gains one entry for each matrix product of two elements."""
+    calls = []
+    product = weyl.mat_mul
+
+    def counting(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(weyl, "mat_mul", counting)
+    return calls
 
 
 def run_km(*args, stdin=None, timeout=None):

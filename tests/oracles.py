@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +183,17 @@ def ball_matrices(gcm, radius, generators=None):
     return seen
 
 
-def peel_word(gcm, key):
-    """Canonical reduced word of a matrix: strip the smallest right descent.
+def word_matrix(gcm, word):
+    """The product of the generator matrices of a word, left to right."""
+    out = eye(len(gcm))
+    for k in word:
+        out = mul(out, generator_matrix(gcm, k))
+    return out
+
+
+def peel_word(gcm, key, pick=min):
+    """Reduced word of a matrix: strip the ``pick`` (min: canonical) right
+    descent.
 
     A right descent is a generator whose column (the image of its simple
     root) is negative.  The letters come off the right end of the word.
@@ -193,7 +203,7 @@ def peel_word(gcm, key):
     cur = [list(row) for row in key]
     letters = []
     while cur != ident:
-        k = min(j for j in range(n) if any(cur[r][j] < 0 for r in range(n)))
+        k = pick(j for j in range(n) if any(cur[r][j] < 0 for r in range(n)))
         letters.append(k)
         cur = mul(cur, generator_matrix(gcm, k))
     return tuple(reversed(letters))
@@ -238,6 +248,35 @@ def orbit_positive_roots(gcm, radius, max_height):
             if all(x >= 0 for x in col) and sum(col) <= max_height:
                 roots.add(col)
     return roots
+
+
+def witnessed_roots(gcm, max_height):
+    """Positive real roots of height <= max_height with witnesses, in the
+    discovery order of a breadth-first walk from the simple roots.
+
+    Each entry is (coords, witness matrix key, i) with coords = w(alpha_i);
+    a root s_k(beta) found from beta = w(alpha_i) gets the witness s_k w, a
+    dense left product.
+    """
+    n = len(gcm)
+    gens = [generator_matrix(gcm, k) for k in range(n)]
+    found = [
+        (tuple(1 if j == i else 0 for j in range(n)), eye(n), i)
+        for i in range(n)
+        if max_height >= 1
+    ]
+    seen = {coords for coords, _, _ in found}
+    head = 0
+    while head < len(found):
+        coords, w, i = found[head]
+        head += 1
+        for k, g in enumerate(gens):
+            new = tuple(sum(g[r][c] * coords[c] for c in range(n)) for r in range(n))
+            if min(new) < 0 or sum(new) > max_height or new in seen:
+                continue
+            seen.add(new)
+            found.append((new, mul(g, w), i))
+    return [(coords, to_key(w), i) for coords, w, i in found]
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +465,28 @@ def permuted(rows, perm):
     for i in range(n):
         for j in range(n):
             out[perm[i]][perm[j]] = rows[i][j]
+    return out
+
+
+def kernel_gcms(seed):
+    """Seeded matrices that exercise the simple-reflection kernel.
+
+    Random GCMs of rank 2-9 whose bonds are mostly non-symmetric, direct
+    sums with finite parts, and a permuted copy of each direct sum.
+    """
+    rng = random.Random(seed)
+    out = [random_gcm(rng, n, density=0.5, deepest=3) for n in range(2, 10) for _ in range(2)]
+    a3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+    b2, g2 = [[2, -2], [-1, 2]], [[2, -1], [-3, 2]]
+    sums = [
+        direct_sum(a3, [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]),
+        direct_sum(b2, random_gcm(rng, 3, density=0.8, deepest=2)),
+        direct_sum(g2, [[2]], [[2, -3], [-2, 2]]),
+    ]
+    for rows in sums:
+        perm = list(range(len(rows)))
+        rng.shuffle(perm)
+        out += [rows, permuted(rows, perm)]
     return out
 
 

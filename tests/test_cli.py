@@ -384,6 +384,15 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "budget" in proc.stderr
 
+    def test_roots_budget_counts_simple_roots(self, catalog_paths):
+        # A_3 has 3 roots of height 1: budget 3 answers, 2 and 0 exit 3
+        args = ("roots", catalog_paths["finite_a3"], "--max-height", "1", "--budget")
+        assert km_payload(*args, "3")["count"] == 3
+        for budget in ("2", "0"):
+            proc = run_km(*args, budget)
+            assert proc.returncode == 3, (budget, proc.stderr)
+            assert "budget" in proc.stderr
+
     def test_closure_budget_is_exit_3(self, catalog_paths):
         proc = run_km(
             "closure", catalog_paths["affine_a2"], "--word", "1,2",
@@ -446,6 +455,17 @@ class TestWeylCommands:
         )
         assert payload["is_straight_up_to_n"] is True
         assert payload["power_lengths"] == [2, 4, 6, 8, 10]
+
+
+    def test_affine_e8_roots_to_height_60(self):
+        # real roots alpha + n delta, ht(delta) = 30: 240 per 30 heights
+        rows = [[2 if i == j else 0 for j in range(9)] for i in range(9)]
+        for i, j in [(k, k + 1) for k in range(7)] + [(5, 8)]:
+            rows[i][j] = rows[j][i] = -1
+        text = "".join(" ".join(map(str, row)) + "\n" for row in rows)
+        proc = run_km("roots", "-", "--max-height", "60", stdin=text, timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["payload"]["count"] == 480
 
 
 class TestCatalogCommand:

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,63 @@ def test_unused_imports_are_found():
 )
 def test_every_top_level_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def private_definitions(tree):
+    """Top-level functions and classes, and methods of top-level classes,
+    whose names are private (a leading underscore, not a dunder)."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        for d in [node, *members]:
+            if isinstance(d, defs) and d.name.startswith("_") and not d.name.endswith("__"):
+                yield d
+
+
+def names_read(node):
+    """How often each name or attribute occurs under ``node``."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def unreferenced_private(trees):
+    """(file, line, name) of each private definition that nothing outside
+    its own body refers to, over a {file: module tree} map."""
+    everywhere = sum((names_read(t) for t in trees.values()), Counter())
+    return sorted(
+        (path, d.lineno, d.name)
+        for path, tree in trees.items()
+        for d in private_definitions(tree)
+        if everywhere[d.name] == names_read(d)[d.name]
+    )
+
+
+def test_unreferenced_private_helpers_are_found():
+    main = ast.parse(
+        "def _used(): pass\n"
+        "def _dead(): pass\n"
+        "def _recursive(n): return _recursive(n - 1)\n"
+        "class _Kept:\n"
+        "    def __init__(self): self._step()\n"
+        "    def _step(self): pass\n"
+        "    def _orphan(self):\n"
+        "        def _inner(): pass\n"
+        "        return _inner\n"
+        "_Kept()\n"
+    )
+    other = ast.parse("import main\nmain._used()\n")
+    assert unreferenced_private({"main": main, "other": other}) == [
+        ("main", 2, "_dead"), ("main", 3, "_recursive"), ("main", 7, "_orphan"),
+    ]
+
+
+def test_every_private_helper_is_referenced():
+    # a replaced helper must leave with its last caller
+    trees = {str(p.relative_to(SRC)): ast.parse(p.read_text()) for p in sorted(SRC.rglob("*.py"))}
+    assert unreferenced_private(trees) == []
 
 
 def layer_hooks():

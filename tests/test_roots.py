@@ -96,6 +96,32 @@ class TestEnumeration:
         with pytest.raises(BudgetExceededError):
             positive_real_roots(W, 50, budget=10)
 
+    @pytest.mark.parametrize("rows,height,size", [(A3, 1, 3), (A3, 3, 6), (AFF2, 4, 9)])
+    def test_budget_counts_every_root_returned(self, rows, height, size):
+        # the simple roots count too: s roots pass at budget s, raise at s - 1
+        W = group(rows)
+        assert len(positive_real_roots(W, height, budget=size)) == size
+        for budget in (size - 1, 0):
+            with pytest.raises(BudgetExceededError):
+                positive_real_roots(W, height, budget=budget)
+
+    def test_witnesses_match_dense_oracle(self):
+        # coordinates, order, witness matrices and witness words, against a
+        # breadth-first walk that builds each witness by a dense left product
+        for rows in oracles.kernel_gcms(seed=20):
+            height = 6 if len(rows) <= 5 else 4
+            mine = positive_real_roots(group(rows), height, budget=5_000)
+            expected = oracles.witnessed_roots(rows, height)
+            assert [(r.coords, r.witness[0].rows, r.witness[1]) for r in mine] == expected
+            for r in mine:
+                w = r.witness[0]
+                assert w.word == oracles.peel_word(rows, w.rows), (rows, r.coords)
+
+    def test_no_matrix_products(self, count_products):
+        roots = positive_real_roots(group(AFF2), 8)
+        assert [r.witness[0].word for r in roots]
+        assert count_products == []
+
 
 class TestSplitBySupport:
     def test_split(self):
@@ -135,6 +161,14 @@ class TestReflections:
             # a reflection fixes the root's reflection hyperplane pointwise in
             # the sense of odd length
             assert refl.length % 2 == 1
+
+    def test_reflections_match_dense_oracle(self):
+        for rows in oracles.kernel_gcms(seed=21)[::3]:
+            for root in positive_real_roots(group(rows), 3, budget=500):
+                w, i = root.witness
+                word = list(w.word) + [i] + list(reversed(w.word))
+                assert reflection_of(root).rows == oracles.to_key(
+                    oracles.word_matrix(rows, word))
 
     def test_missing_witness(self):
         with pytest.raises(MissingWitnessError):

@@ -53,20 +53,6 @@ def power_products(n):
     return n.bit_length() + bin(n).count("1") - 2 if n else 0
 
 
-@pytest.fixture
-def count_products(monkeypatch):
-    """A list that gains one entry for each matrix product of two elements."""
-    calls = []
-    product = weyl.mat_mul
-
-    def counting(a, b):
-        calls.append(1)
-        return product(a, b)
-
-    monkeypatch.setattr(weyl, "mat_mul", counting)
-    return calls
-
-
 class TestBasics:
     def test_generator_action(self):
         W = group(A2)
@@ -200,12 +186,17 @@ class TestBalls:
         assert exc.value.budget == 20
 
     def test_ball_budget_boundary(self):
-        # the budget counts the identity and raises on element budget + 1
+        # the budget counts every element returned, the identity included:
+        # a ball of s elements passes at budget s and raises at s - 1
         W = group(A2)
         assert len(W.ball(10, budget=6)) == 6
         with pytest.raises(BudgetExceededError):
             W.ball(10, budget=5)
-        assert W.ball(0, budget=0) == [W.identity]
+        assert W.ball(0, budget=1) == [W.identity]
+        with pytest.raises(BudgetExceededError):
+            W.ball(0, budget=0)
+        with pytest.raises(BudgetExceededError):
+            W.ball(0, generators=[], budget=0)
 
     def test_radius_zero_is_identity(self):
         for rows in (A2, AFF2):
@@ -433,3 +424,100 @@ class TestStraightness:
         t = W.from_word([0, 1, 0, 2])  # translation-like element
         assert t.is_straight(4)
         assert (t**3).length == 3 * t.length
+
+
+KERNEL_GCMS = oracles.kernel_gcms(seed=10)
+
+
+def random_word(rng, n, longest):
+    return [rng.randrange(n) for _ in range(rng.randint(0, longest))]
+
+
+class TestSparseKernel:
+    """The sparse generator steps and peel against the dense oracles."""
+
+    def test_kernel_cases_cover_the_intended_shapes(self):
+        ranks = {len(rows) for rows in KERNEL_GCMS}
+        assert set(range(2, 10)) <= ranks
+        assert any(rows[i][j] != rows[j][i] for rows in KERNEL_GCMS
+                   for i in range(len(rows)) for j in range(len(rows)))
+
+    def test_steps_match_dense_products(self):
+        rng = random.Random(11)
+        for rows in KERNEL_GCMS:
+            W, n = group(rows), len(rows)
+            gens = [oracles.generator_matrix(rows, k) for k in range(n)]
+            for _ in range(4):
+                w = W.from_word(random_word(rng, n, 8))
+                for k in range(n):
+                    assert W._right_mul_gen(w.rows, k) == oracles.to_key(
+                        oracles.mul(w.rows, gens[k])), (rows, w.word, k)
+                    assert W._left_mul_gen(k, w.rows) == oracles.to_key(
+                        oracles.mul(gens[k], w.rows)), (rows, w.word, k)
+
+    def test_from_word_and_peeling_match_oracle(self):
+        rng = random.Random(12)
+        for rows in KERNEL_GCMS:
+            W, n = group(rows), len(rows)
+            for _ in range(6):
+                word = random_word(rng, n, 12)
+                w = W.from_word(word)
+                assert w.rows == oracles.to_key(oracles.word_matrix(rows, word))
+                assert w.reduced_word() == oracles.peel_word(rows, w.rows), (rows, word)
+                assert w.reduced_word("largest") == oracles.peel_word(
+                    rows, w.rows, pick=max), (rows, word)
+
+    def test_ball_rows_match_sorted_oracle(self):
+        rng = random.Random(13)
+        for rows in KERNEL_GCMS:
+            n = len(rows)
+            radius = 3 if n <= 5 else 2
+            gens = None if rng.random() < 0.5 else rng.sample(range(n), rng.randint(1, n))
+            mine = group(rows).ball(radius, generators=gens)
+            expected = oracles.sorted_ball(rows, radius, gens)
+            assert [(w.word, w.rows) for w in mine] == expected, (rows, radius, gens)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        bonds=st.lists(st.sampled_from([(0, 0), (-1, -1), (-1, -2), (-3, -1),
+                                        (-2, -2), (-1, -4), (-3, -2)]),
+                       min_size=10, max_size=10),
+        n=st.integers(2, 5),
+        word=st.lists(st.integers(0, 4), max_size=14),
+    )
+    def test_peeling_property_against_oracle(self, bonds, n, word):
+        rows = [[2] * n for _ in range(n)]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for (i, j), (a, b) in zip(pairs, bonds):
+            rows[i][j], rows[j][i] = a, b
+        word = [k % n for k in word]
+        w = group(rows).from_word(word)
+        assert w.rows == oracles.to_key(oracles.word_matrix(rows, word))
+        for tie_break, pick in (("smallest", min), ("largest", max)):
+            peeled = w.reduced_word(tie_break)
+            assert peeled == oracles.peel_word(rows, w.rows, pick=pick)
+            assert group(rows).from_word(peeled) == w
+
+    def test_unknown_tie_break_is_rejected(self):
+        w = group(A3).from_word([0, 1, 2])
+        for bad in ("smalest", "Largest", "", None):
+            with pytest.raises(ValueError, match="'smallest' or 'largest'"):
+                w.reduced_word(bad)
+
+    def test_peeling_rechecks_every_touched_column(self):
+        W = group(A3)
+        mixed = weyl.WeylElement(W, ((1, 0, 0), (0, -1, 0), (0, 1, 1)))
+        with pytest.raises(RuntimeError, match="sign dichotomy"):
+            mixed.reduced_word()
+        # every column positive, yet not the identity: no descent to peel
+        stuck = weyl.WeylElement(W, ((1, 1, 0), (0, 1, 0), (0, 0, 1)))
+        with pytest.raises(RuntimeError, match="no descent"):
+            stuck.reduced_word()
+
+    def test_no_matrix_products(self, count_products):
+        W = group(affine_a(5))
+        w = W.from_word([0, 1, 2, 3, 4, 5] * 3)
+        assert w.reduced_word() and w.reduced_word("largest")
+        assert len(W.ball(4)) > 1 and len(W.ball(4, generators=[0, 2, 3])) > 1
+        assert W.longest_element({1, 2, 3}).length == 6
+        assert count_products == []
