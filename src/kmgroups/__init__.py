@@ -6,7 +6,9 @@ as root-lattice matrices, bounded real-root enumeration, standard-parabolic
 combinatorics, and the verdict layer used by the `km` command line tool.
 
 Importing the package runs no engine module: each public name is looked up
-in ``_EXPORTS`` and its module is imported on first access (PEP 562).
+in ``_EXPORTS`` and its module is imported on first access (PEP 562).  The
+errors behind `km`'s exit codes 2 and 3, and the default element budget,
+are defined here, so the command line reaches them without an engine.
 """
 
 import importlib
@@ -27,6 +29,18 @@ class BadInputError(ValueError):
         return str(self)
 
 
+DEFAULT_BUDGET = 1_000_000
+
+
+class BudgetExceededError(RuntimeError):
+    """An enumeration grew past its configured element budget; `km` exits 3."""
+
+    def __init__(self, what: str, budget: int):
+        self.what = what
+        self.budget = budget
+        super().__init__(f"{what} exceeded the element budget of {budget}")
+
+
 # module -> the public names it defines
 _EXPORTS = {
     "gcm": (
@@ -41,7 +55,7 @@ _EXPORTS = {
         "graph_strong_connectivity", "nerve_strong_connectivity",
         "strongly_connected_graph", "strongly_connected_nerve",
     ),
-    "weyl": ("DEFAULT_BUDGET", "BudgetExceededError", "WeylElement", "WeylGroup"),
+    "weyl": ("WeylElement", "WeylGroup"),
     "roots": (
         "MissingWitnessError", "RealRoot", "periodic_roots", "positive_real_roots",
         "reflection_of", "split_by_support",
@@ -64,7 +78,7 @@ _EXPORTS = {
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [*_MODULE_OF, "__version__"]
+__all__ = [*_MODULE_OF, "DEFAULT_BUDGET", "BudgetExceededError", "__version__"]
 
 
 def __getattr__(name: str):

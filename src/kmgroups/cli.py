@@ -17,8 +17,10 @@ budget exceeded.  Sets and words on the command line are 1-based
 comma-separated indices; JSON payloads use 1-based indices as well.
 
 Each command is a row of ``COMMANDS``; ``_run`` builds every envelope.
-Handlers import the engine module they run, so start-up loads only ``gcm``,
-``coxeter`` and ``weyl``.
+A process builds the parser of its own command only, and handlers import
+the engine modules they run, so start-up loads only ``gcm`` and
+``coxeter``; ``weyl``, ``roots``, ``parabolics``, ``analysis`` and
+``catalog`` load with the commands that use them.
 """
 
 from __future__ import annotations
@@ -27,12 +29,14 @@ import argparse
 import json
 import sys
 from collections.abc import Callable, Iterable, Sequence
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import BadInputError, __version__, catalog
+from . import DEFAULT_BUDGET, BadInputError, BudgetExceededError, __version__
 from .coxeter import INFINITE, coxeter_matrix, nerve_strong_connectivity
 from .gcm import GcmValidationError, GeneralizedCartanMatrix, classify, scalars
-from .weyl import DEFAULT_BUDGET, BudgetExceededError, WeylElement, WeylGroup
+
+if TYPE_CHECKING:  # the element handlers import it when they run
+    from .weyl import WeylElement
 
 
 class InputError(BadInputError):
@@ -109,6 +113,8 @@ def _parse_set(text: str, rank: int) -> frozenset[int]:
 
 def _word_element(gcm: GeneralizedCartanMatrix, args) -> tuple[list[int], WeylElement]:
     """The --word letters as given (1-based) and the element they spell."""
+    from .weyl import WeylGroup
+
     letters = _parse_indices(args.word, gcm.rank, "letter")
     return letters, WeylGroup(gcm).from_word(k - 1 for k in letters)
 
@@ -134,20 +140,27 @@ def _wire(value):
         return [_wire(v) for v in value]
     if kind is dict:
         return {k: _wire(v) for k, v in value.items()}
-    if kind is WeylElement:
-        return [k + 1 for k in value.word]
     fields = getattr(kind, "_fields", None)
     if fields is not None:
         return {f: _wire(getattr(value, f)) for f in fields}
     if value == INFINITE:
         return None
+    from .weyl import WeylElement  # last, so a payload without one never loads weyl
+
+    if kind is WeylElement:
+        return [k + 1 for k in value.word]
     raise TypeError(f"no wire form for {kind.__name__}")
 
 
 def _dot(name: str, labels: Iterable[str], edges: Iterable[tuple[int, int]]) -> str:
-    """A bottom-to-top digraph: node k carries labels[k], one arc per pair."""
+    """A bottom-to-top digraph: node k carries labels[k], one arc per pair.
+
+    Labels are user text, so backslashes and quotes are escaped to keep each
+    one a single DOT string.
+    """
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
-    lines += [f'  n{k} [label="{label}"];' for k, label in enumerate(labels)]
+    quoted = (label.replace("\\", "\\\\").replace('"', '\\"') for label in labels)
+    lines += [f'  n{k} [label="{label}"];' for k, label in enumerate(quoted)]
     lines += [f"  n{a} -> n{b};" for a, b in edges]
     return "\n".join(lines) + "\n}\n"
 
@@ -299,6 +312,7 @@ def _weyl_straight(gcm, args):
 
 def _roots(gcm, args):
     from .roots import positive_real_roots, split_by_support
+    from .weyl import WeylGroup
 
     found = positive_real_roots(WeylGroup(gcm), args.max_height, budget=args.budget)
     parameters = {"max_height": args.max_height, "budget": args.budget}
@@ -323,6 +337,7 @@ def _roots(gcm, args):
 
 def _conj(gcm, args):
     from .parabolics import standard_conjugacy
+    from .weyl import WeylGroup
 
     source = _parse_set(args.source, gcm.rank)
     target = _parse_set(args.target, gcm.rank)
@@ -358,6 +373,7 @@ def _closure(gcm, args):
 
 def _jregular(gcm, args):
     from .parabolics import find_j_regular
+    from .weyl import WeylGroup
 
     subset = _parse_set(args.set, gcm.rank)  # find_j_regular rejects the empty set
     cert = find_j_regular(
@@ -388,6 +404,8 @@ def _jregular(gcm, args):
 
 
 def _catalog(gcm, args):
+    from . import catalog
+
     if args.name is None:
         return {}, {"names": catalog.names()}
     try:
@@ -477,16 +495,33 @@ COMMANDS = (
 
 _GROUP_HELP = {"weyl": "element arithmetic"}
 
+# the first word of each command line: a command, or a group of commands
+_FIRST_WORDS = tuple(dict.fromkeys(c.name.partition("-")[0] for c in COMMANDS))
 
-def _build_parser() -> argparse.ArgumentParser:
+
+def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The `km` parser for ``argv``.
+
+    When ``argv`` starts with a command (or group) name, only that part of
+    the tree is built; otherwise (no command, an option first, an unknown
+    name) all of it is.  The narrowed parser spells out every command name
+    in its usage line, so help and error text do not depend on which tree
+    parsed them.
+    """
+    first = argv[0] if argv and argv[0] in _FIRST_WORDS else None
     parser = argparse.ArgumentParser(
         prog="km",
         description="Combinatorial invariants of a generalized Cartan matrix",
     )
     parser.add_argument("--version", action="version", version=f"km {__version__}")
-    subparsers = {"": parser.add_subparsers(dest="command", required=True)}
+    metavar = None if first is None else "{" + ",".join(_FIRST_WORDS) + "}"
+    subparsers = {
+        "": parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    }
     for command in COMMANDS:
         group, _, leaf = command.name.rpartition("-")
+        if first is not None and first != (group or leaf):
+            continue
         if group not in subparsers:
             parent = subparsers[""].add_parser(group, help=_GROUP_HELP[group])
             subparsers[group] = parent.add_subparsers(
@@ -523,7 +558,9 @@ def _run(command: _Command, args) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
     try:
         _run(args.spec, args)
         return 0

@@ -12,12 +12,13 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterable
 from functools import cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import BadInputError
+from . import DEFAULT_BUDGET, BadInputError
 from .coxeter import CoxeterDiagram
-from .roots import periodic_roots, positive_real_roots, split_by_support
-from .weyl import DEFAULT_BUDGET, WeylElement, WeylGroup
+
+if TYPE_CHECKING:  # the group routines import it when they run; the poset never does
+    from .weyl import WeylElement, WeylGroup
 
 
 class NotEssentialError(BadInputError):
@@ -191,6 +192,8 @@ def _conjugate_generator_set(
     group: WeylGroup, element: WeylElement, subset: Iterable[int]
 ) -> frozenset[int]:
     """The set K with element^{-1} * subset * element = K, matrix-verified."""
+    from .weyl import WeylElement
+
     inv = element.inverse().rows
     out = set()
     for j in sorted(subset):
@@ -376,6 +379,8 @@ def find_j_regular(
     make every accepted certificate checkable but never prove that smaller
     candidates were wrongly rejected at higher bounds.
     """
+    from .roots import periodic_roots, positive_real_roots, split_by_support
+
     subset, _ = normalizer_factors(group.diagram, subset)  # NotEssentialError
     all_roots = positive_real_roots(group, max_height, budget=budget)
     in_subset, _ = split_by_support(all_roots, subset)

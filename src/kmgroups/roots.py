@@ -13,7 +13,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 from typing import NamedTuple
 
-from .weyl import DEFAULT_BUDGET, BudgetExceededError, WeylElement, WeylGroup, root_sign
+from . import DEFAULT_BUDGET, BudgetExceededError
+from .weyl import WeylElement, WeylGroup, root_sign
 
 
 class MissingWitnessError(ValueError):

@@ -24,20 +24,10 @@ from functools import cached_property
 from collections.abc import Iterable, Sequence
 from operator import mul
 
+from . import DEFAULT_BUDGET, BudgetExceededError
 from ._intmat import Matrix, column, identity, mat_mul, mat_vec
 from .coxeter import CoxeterDiagram, coxeter_matrix
 from .gcm import GeneralizedCartanMatrix
-
-DEFAULT_BUDGET = 1_000_000
-
-
-class BudgetExceededError(RuntimeError):
-    """An enumeration grew past its configured element budget."""
-
-    def __init__(self, what: str, budget: int):
-        self.what = what
-        self.budget = budget
-        super().__init__(f"{what} exceeded the element budget of {budget}")
 
 
 def root_sign(coords: Sequence[int]) -> int:

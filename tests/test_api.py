@@ -81,6 +81,12 @@ class TestPublicNames:
     def test_dir_lists_every_public_name(self):
         assert set(PUBLIC) <= set(dir(kmgroups))
 
+    def test_engines_raise_the_packages_budget_error(self):
+        from kmgroups import roots, weyl
+
+        assert weyl.BudgetExceededError is roots.BudgetExceededError \
+            is kmgroups.BudgetExceededError
+
     def test_submodules_still_import_by_name(self):
         from kmgroups import catalog
 

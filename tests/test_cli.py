@@ -1,5 +1,7 @@
 """End-to-end CLI tests: envelopes, schema conformance, exit codes, goldens."""
 
+import contextlib
+import io
 import json
 import math
 from importlib import resources
@@ -11,6 +13,7 @@ from conftest import GOLDEN_DIR, km_payload, run_km
 from golden_cases import CASES
 from kmgroups import (ComponentNotSphericalError, GeneralizedCartanMatrix,
                       NotEssentialError, NotPrimePowerError, NotSphericalError)
+from kmgroups import cli
 from kmgroups.cli import parse_gcm_text, serialize_gcm
 
 
@@ -436,6 +439,61 @@ class TestDotOutput:
         proc = run_km("nerve", catalog_paths["affine_a2"], "--format", "dot")
         assert proc.stdout.startswith("digraph nerve_faces {")
         assert proc.stdout.count("->") == 6  # 3 edges x 2 endpoints
+
+    @pytest.mark.parametrize(
+        "command, matrix, line",
+        [
+            ("nerve", [[2, -1], [-1, 2]], r'  n2 [label="{a\"b,c\\d}"];'),
+            ("poset", [[2, -2], [-2, 2]], r'  n1 [label="G [W_{a\"b,c\\d}]"];'),
+        ],
+    )
+    def test_labels_are_escaped(self, tmp_path, capsys, command, matrix, line):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({"matrix": matrix, "labels": ['a"b', "c\\d"]}))
+        assert cli.main([command, str(path), "--format", "dot"]) == 0
+        assert line in capsys.readouterr().out.splitlines()
+
+
+def _parse(parser, argv):
+    """(exit code, stdout, stderr, parsed options) of one parse, in-process."""
+    out, err = io.StringIO(), io.StringIO()
+    code, parsed = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parsed = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), parsed
+
+
+_WORDS = [command.name.split("-") for command in cli.COMMANDS]
+
+
+class TestNarrowedParser:
+    """``_build_parser(argv)`` builds only the command ``argv`` names; what
+    it prints and parses must match the full tree byte for byte."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[*words, "--help"] for words in _WORDS]
+        + _WORDS  # a missing required argument (``catalog`` needs none)
+        + [["--help"], ["weyl", "--help"], ["-h", "classify"], ["nosuch", "x"],
+           ["--version"], [], ["weyl"], ["classify", "m.json", "extra"],
+           ["weyl", "word", "m.json", "--word", "1", "extra"]],
+        ids=" ".join,
+    )
+    def test_matches_the_full_parser(self, argv):
+        assert _parse(cli._build_parser(argv), argv) == _parse(cli._build_parser(), argv)
+
+    def test_a_command_builds_only_its_subtree(self):
+        def first_words(argv):
+            (action,) = cli._build_parser(argv)._subparsers._group_actions
+            return list(action.choices)
+
+        assert first_words(["classify", "m.json"]) == ["classify"]
+        assert first_words(["weyl", "word"]) == ["weyl"]
+        full = list(dict.fromkeys(words[0] for words in _WORDS))
+        assert first_words([]) == first_words(["nosuch"]) == first_words(["-h"]) == full
 
 
 class TestWeylCommands:

@@ -11,6 +11,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "kmgroups"
 
 
+def bound_names(node):
+    """The names an import statement binds."""
+    return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+
+
 def unused_imports(tree):
     """Names bound by the module's top-level imports and never read."""
     bound = {}
@@ -18,11 +23,39 @@ def unused_imports(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
+            for name in bound_names(node):
                 bound[name] = node.lineno
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def own_nodes(function):
+    """The nodes of a function's body, leaving out the bodies of the
+    functions and classes defined inside it."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unused_local_imports(tree):
+    """(line, name) of each name bound by an import inside a function and
+    never read in that function (nested functions included)."""
+    unused = []
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {node.id for node in ast.walk(function) if isinstance(node, ast.Name)}
+        unused += [
+            (node.lineno, name)
+            for node in own_nodes(function)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for name in bound_names(node)
+            if name not in read
+        ]
+    return sorted(unused)
 
 
 def test_unused_imports_are_found():
@@ -35,6 +68,31 @@ def test_unused_imports_are_found():
 )
 def test_every_top_level_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_unused_local_imports_are_found():
+    tree = ast.parse(
+        "def f():\n"
+        "    import os, sys\n"
+        "    from a import b as c\n"
+        "    def g():\n"
+        "        from x import y\n"
+        "        return os\n"
+        "    return g, c\n"
+        "class K:\n"
+        "    def m(self):\n"
+        "        from z import w\n"
+        "y(sys, w)\n"
+    )
+    assert unused_local_imports(tree) == [(2, "sys"), (5, "y"), (10, "w")]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC))
+)
+def test_every_local_import_is_used(path):
+    # a handler that stops using an engine must stop importing it
+    assert unused_local_imports(ast.parse(path.read_text())) == []
 
 
 def private_definitions(tree):

@@ -3,12 +3,15 @@
 Each check runs a new interpreter and reads the modules it imported from
 ``python -X importtime``, so it tests the real command path.  Module sets,
 not timings: a command must not load an engine it does not run, and no
-command may load ``dataclasses``.  That engine input errors still exit 2
+command may load ``dataclasses``.  With bytecode caching off every loaded
+module is compiled from source on each run, so a module a command does not
+need is a cost it pays every time.  That engine input errors still exit 2
 from a fresh process is checked in ``test_cli.py`` (``TestExitCodes``).
 """
 
 import subprocess
 import sys
+from functools import cache
 
 import pytest
 
@@ -37,6 +40,9 @@ ARGV = {
     "catalog": ["catalog"],
 }
 LIGHT = ("validate", "classify", "coxeter", "decompose", "nerve", "catalog")
+# the commands that never build a Weyl group element
+NO_WEYL = ("validate", "classify", "coxeter", "decompose", "nerve", "ends", "indec",
+           "poset", "report")
 
 
 def imported(*args):
@@ -53,9 +59,20 @@ def imported(*args):
     return proc.returncode, names
 
 
-def km_imports(name, catalog_paths):
-    argv = [catalog_paths["affine_a1"] if a == "{}" else a for a in ARGV[name]]
-    return imported("-m", "kmgroups.cli", *argv)
+@pytest.fixture(scope="module")
+def km_modules(catalog_paths):
+    """name -> the modules one `km` run of that command loads; each command
+    runs once here, however many checks read its set."""
+
+    @cache
+    def modules(name):
+        argv = [catalog_paths["affine_a1"] if a == "{}" else a for a in ARGV[name]]
+        rc, names = imported("-m", "kmgroups.cli", *argv)
+        assert rc == 0, name
+        assert "kmgroups.gcm" in names  # the probe did see the package load
+        return frozenset(names)
+
+    return modules
 
 
 def test_every_command_is_probed():
@@ -72,7 +89,7 @@ def test_import_cli_loads_no_heavy_engine():
     rc, names = imported("-c", "import kmgroups.cli")
     assert rc == 0
     assert "kmgroups.cli" in names
-    assert not names & (HEAVY | {"dataclasses"})
+    assert not names & (HEAVY | {"dataclasses", "kmgroups.weyl", "kmgroups.catalog"})
 
 
 def test_public_names_load_only_their_module():
@@ -82,24 +99,34 @@ def test_public_names_load_only_their_module():
 
 
 @pytest.mark.parametrize("name", LIGHT)
-def test_light_commands_load_no_heavy_engine(name, catalog_paths):
-    rc, names = km_imports(name, catalog_paths)
-    assert rc == 0
-    assert not names & HEAVY
+def test_light_commands_load_no_heavy_engine(name, km_modules):
+    assert not km_modules(name) & HEAVY
 
 
 @pytest.mark.parametrize("name", ("ends", "indec"))
-def test_verdicts_load_neither_parabolics_nor_roots(name, catalog_paths):
-    rc, names = km_imports(name, catalog_paths)
-    assert rc == 0
+def test_verdicts_load_neither_parabolics_nor_roots(name, km_modules):
+    names = km_modules(name)
     assert "kmgroups.analysis" in names
     assert not names & {"kmgroups.parabolics", "kmgroups.roots"}
 
 
-@pytest.mark.parametrize("name", sorted(ARGV))
-def test_no_command_loads_dataclasses(name, catalog_paths):
-    rc, names = km_imports(name, catalog_paths)
-    assert rc == 0
-    assert "dataclasses" not in names
-    assert "kmgroups.gcm" in names  # the probe did see the package load
+@pytest.mark.parametrize("name", NO_WEYL)
+def test_structure_commands_load_no_weyl(name, km_modules):
+    assert "kmgroups.weyl" not in km_modules(name)
 
+
+@pytest.mark.parametrize("name", ("poset", "report"))
+def test_poset_commands_load_no_roots(name, km_modules):
+    names = km_modules(name)
+    assert "kmgroups.parabolics" in names
+    assert "kmgroups.roots" not in names
+
+
+@pytest.mark.parametrize("name", sorted(ARGV))
+def test_only_catalog_loads_catalog(name, km_modules):
+    assert ("kmgroups.catalog" in km_modules(name)) == (name == "catalog")
+
+
+@pytest.mark.parametrize("name", sorted(ARGV))
+def test_no_command_loads_dataclasses(name, km_modules):
+    assert "dataclasses" not in km_modules(name)
