@@ -8,31 +8,37 @@ and prints one JSON envelope per invocation:
      "payload": ..., "warnings": [...]}
 
 Output is deterministic (sorted keys, fixed indentation), so identical
-invocations are byte-identical.  Poset and nerve accept --format dot and
-then emit a Hasse digraph instead of JSON.
+invocations are byte-identical.  ``_emit`` writes the envelope in one walk
+over the library's values, and its text is byte for byte what
+``json.dumps(..., indent=2, sort_keys=True)`` gives for their JSON data.
+Poset and nerve accept --format dot and then emit a Hasse digraph instead
+of JSON.
 
 Exit codes: 0 success (bounded "not found" / "inconclusive" payloads
 included), 1 internal error, 2 input or validation error, 3 enumeration
-budget exceeded.  Sets and words on the command line are 1-based
+budget exceeded, 4 stdout could not be written (a full disk, a reader that
+closed the pipe early).  Sets and words on the command line are 1-based
 comma-separated indices; JSON payloads use 1-based indices as well.
 
-Each command is a row of ``COMMANDS``; ``_run`` builds every envelope.
+Each command is a row of ``COMMANDS``; ``main`` builds every envelope.
 A process builds the parser of its own command only, and handlers import
-the engine modules they run, so start-up loads only ``gcm`` and
-``coxeter``; ``weyl``, ``roots``, ``parabolics``, ``analysis`` and
-``catalog`` load with the commands that use them.
+the engine modules they run, so start-up loads only ``gcm`` (and
+``_intmat``); ``coxeter``, ``weyl``, ``roots``, ``parabolics``,
+``analysis`` and ``catalog`` load with the commands that use them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 from collections.abc import Callable, Iterable, Sequence
+from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import DEFAULT_BUDGET, BadInputError, BudgetExceededError, __version__
-from .coxeter import INFINITE, coxeter_matrix, nerve_strong_connectivity
 from .gcm import GcmValidationError, GeneralizedCartanMatrix, classify, scalars
 
 if TYPE_CHECKING:  # the element handlers import it when they run
@@ -75,8 +81,7 @@ def parse_gcm_text(text: str) -> GeneralizedCartanMatrix:
 
 def serialize_gcm(gcm: GeneralizedCartanMatrix) -> str:
     """Canonical JSON text for a matrix; parse/serialize round-trips."""
-    doc = {"labels": list(gcm.labels), "matrix": [list(r) for r in gcm.entries]}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _emit({"labels": gcm.labels, "matrix": gcm.entries}, "") + "\n"
 
 
 def _read_gcm(path: str) -> GeneralizedCartanMatrix:
@@ -122,34 +127,71 @@ def _word_element(gcm: GeneralizedCartanMatrix, args) -> tuple[list[int], WeylEl
 # ---------------------------------------------------------------- output
 
 
-def _wire(value):
-    """Convert library data to JSON data, recursively and by type alone.
+# record class -> its fields in sorted order, each with its quoted key text
+_RECORD_KEYS: dict[type, tuple[tuple[str, str], ...]] = {}
+_INT_RUN = {int}
+
+
+def _emit(value, pad: str) -> str:
+    """The JSON text of library data, as ``json.dumps(..., indent=2,
+    sort_keys=True)`` writes it, with ``pad`` the indent of its line.
 
     Frozensets (0-based index sets) become sorted 1-based lists and Weyl
-    elements become their 1-based canonical words.  Records become dicts of
-    their ``_fields``, tuples become lists and ``INFINITE`` becomes null.
-    Integers are never shifted, so coordinates, matrix rows, counts and the
-    input words echoed as the user gave them pass through unchanged.
+    elements become their 1-based canonical words.  Records become objects
+    of their ``_fields``, tuples become lists, ``INFINITE`` becomes null
+    and dict keys must be strings.  Integers are never shifted, so
+    coordinates, matrix rows, counts and the input words echoed as the user
+    gave them pass through unchanged.  One walk writes the text: no JSON
+    tree is built, and a run of plain ints (a set, a Hasse pair, a matrix
+    row) is one join.
     """
     kind = type(value)
-    if kind is int or kind is str or kind is bool or value is None:
-        return value
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return str(value)
     if kind is frozenset:
-        return sorted(i + 1 for i in value)
-    if kind is tuple or kind is list:
-        return [_wire(v) for v in value]
-    if kind is dict:
-        return {k: _wire(v) for k, v in value.items()}
-    fields = getattr(kind, "_fields", None)
-    if fields is not None:
-        return {f: _wire(getattr(value, f)) for f in fields}
-    if value == INFINITE:
-        return None
-    from .weyl import WeylElement  # last, so a payload without one never loads weyl
+        items = map(str, sorted([i + 1 for i in value]))
+    elif kind is list or kind is tuple:
+        if {*map(type, value)} == _INT_RUN:
+            items = map(str, value)
+        else:
+            inner = pad + "  "
+            items = [_emit(v, inner) for v in value]
+    elif kind is dict:
+        inner = pad + "  "
+        members = [f"{_quote(k)}: {_emit(value[k], inner)}" for k in sorted(value)]
+        return _block("{", members, pad, "}")
+    elif value is None:
+        return "null"
+    elif kind is bool:
+        return "true" if value else "false"
+    else:
+        keys = _RECORD_KEYS.get(kind)
+        if keys is None and hasattr(kind, "_fields"):
+            keys = _RECORD_KEYS[kind] = tuple(
+                (f, _quote(f) + ": ") for f in sorted(kind._fields)
+            )
+        if keys is not None:
+            inner = pad + "  "
+            members = [k + _emit(getattr(value, f), inner) for f, k in keys]
+            return _block("{", members, pad, "}")
+        if value == math.inf:
+            return "null"
+        from .weyl import WeylElement  # last, so a payload without one never loads weyl
 
-    if kind is WeylElement:
-        return [k + 1 for k in value.word]
-    raise TypeError(f"no wire form for {kind.__name__}")
+        if kind is not WeylElement:
+            raise TypeError(f"no wire form for {kind.__name__}")
+        items = [str(k + 1) for k in value.word]
+    return _block("[", items, pad, "]")
+
+
+def _block(opening: str, items: Iterable[str], pad: str, closing: str) -> str:
+    """An array or object of member texts, one member a line, as ``json``
+    indents it; empty, it is the bare brackets."""
+    inner = pad + "  "
+    body = f",\n{inner}".join(items)
+    return f"{opening}\n{inner}{body}\n{pad}{closing}" if body else opening + closing
 
 
 def _dot(name: str, labels: Iterable[str], edges: Iterable[tuple[int, int]]) -> str:
@@ -189,6 +231,8 @@ def _classify(gcm, args):
 
 
 def _coxeter(gcm, args):
+    from .coxeter import coxeter_matrix
+
     diagram = coxeter_matrix(gcm)
     return {}, {
         "orders": diagram.orders,
@@ -200,6 +244,8 @@ def _coxeter(gcm, args):
 
 
 def _decompose(gcm, args):
+    from .coxeter import coxeter_matrix
+
     diagram = coxeter_matrix(gcm)
     subset = _parse_set(args.set, gcm.rank)
     dec = diagram.decompose(subset)
@@ -244,6 +290,8 @@ def _poset(gcm, args):
 
 
 def _nerve(gcm, args):
+    from .coxeter import coxeter_matrix, nerve_strong_connectivity
+
     nerve = coxeter_matrix(gcm).nerve()
     if args.format == "dot":
         labels = [gcm.label_set(s) for s in nerve.simplices]
@@ -536,14 +584,15 @@ def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     return parser
 
 
-def _run(command: _Command, args) -> None:
+def _result(command: _Command, args) -> str | dict:
+    """What ``command`` prints: finished text (DOT, a catalog entry) or
+    the envelope as library data."""
     gcm = _read_gcm(args.gcm) if command.reads_gcm else None
     result = command.handler(gcm, args)
     if isinstance(result, str):
-        sys.stdout.write(result)
-        return
+        return result
     parameters, payload = result
-    doc = {
+    return {
         "tool": {"name": "km", "version": __version__},
         "command": command.name,
         "input": {
@@ -554,7 +603,6 @@ def _run(command: _Command, args) -> None:
         "payload": payload,
         "warnings": [_BOUNDED_NOTE] if command.bounded else [],
     }
-    sys.stdout.write(json.dumps(_wire(doc), indent=2, sort_keys=True) + "\n")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -562,8 +610,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _build_parser(argv).parse_args(argv)
     try:
-        _run(args.spec, args)
-        return 0
+        result = _result(args.spec, args)
+        if isinstance(result, str):
+            text, end = result[:-1], result[-1:]
+        else:
+            text, end = _emit(result, ""), "\n"
     except BudgetExceededError as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
         return 3
@@ -574,6 +625,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    # The last character goes in a write of its own: an unbuffered text
+    # layer drops the count of a short write, so a reader that closed
+    # early is only seen by the write after it.
+    try:
+        sys.stdout.write(text)
+        sys.stdout.write(end)
+        sys.stdout.flush()
+    except OSError as exc:
+        # what is still buffered goes to devnull, so the interpreter's own
+        # flush at exit cannot fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 4
+    return 0
 
 
 if __name__ == "__main__":

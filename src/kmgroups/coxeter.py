@@ -22,6 +22,7 @@ from collections.abc import Collection, Iterable, Sequence
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import BadInputError
+from .gcm import _label_set
 
 if TYPE_CHECKING:
     from .gcm import GeneralizedCartanMatrix
@@ -185,9 +186,7 @@ class CoxeterDiagram(_Frozen):
             if self.orders[i][j] != INFINITE
         )
 
-    def label_set(self, subset: Iterable[int]) -> str:
-        inside = ",".join(self.labels[i] for i in sorted(subset))
-        return "{" + inside + "}"
+    label_set = _label_set
 
     def parabolic_name(self, subset: frozenset[int]) -> str:
         """Display name of the standard parabolic subgroup of ``subset``:

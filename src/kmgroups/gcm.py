@@ -12,11 +12,13 @@ display-only and never used for identity.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import BadInputError
 from ._intmat import Matrix, det
-from .coxeter import CoxeterDiagram, coxeter_matrix
+
+if TYPE_CHECKING:  # classify and components import coxeter when they run
+    from .coxeter import CoxeterDiagram
 
 FINITE = "finite"
 AFFINE = "affine"
@@ -55,6 +57,12 @@ class PositiveOffDiagonalError(GcmValidationError):
 
 class ZeroAsymmetryError(GcmValidationError):
     code = "ZeroAsymmetry"
+
+
+def _label_set(self, subset: Iterable[int]) -> str:
+    """``{a,b}``: the labels of ``subset`` in index order.  The ``label_set``
+    method of both a matrix and its Coxeter diagram."""
+    return "{" + ",".join(self.labels[i] for i in sorted(subset)) + "}"
 
 
 class GeneralizedCartanMatrix(NamedTuple):
@@ -147,8 +155,7 @@ class GeneralizedCartanMatrix(NamedTuple):
         idx = sorted(subset)
         return tuple(tuple(self.entries[i][j] for j in idx) for i in idx)
 
-    # same rendering as the diagram's: "{" + comma-joined labels + "}"
-    label_set = CoxeterDiagram.label_set
+    label_set = _label_set
 
 
 def components(gcm: GeneralizedCartanMatrix) -> tuple[frozenset[int], ...]:
@@ -161,6 +168,8 @@ def components(gcm: GeneralizedCartanMatrix) -> tuple[frozenset[int], ...]:
     >>> [sorted(c) for c in components(g)]
     [[0, 2], [1]]
     """
+    from .coxeter import coxeter_matrix
+
     return coxeter_matrix(gcm).components()
 
 
@@ -210,6 +219,8 @@ def classify(gcm: GeneralizedCartanMatrix) -> GcmTypeVerdict:
     >>> classify(GeneralizedCartanMatrix.from_rows([[2, -3], [-3, 2]])).types
     ('indefinite',)
     """
+    from .coxeter import coxeter_matrix
+
     diagram = coxeter_matrix(gcm)
     comps = diagram.components()
     types = tuple(_component_type(gcm, diagram, c) for c in comps)

@@ -514,6 +514,39 @@ def coxeter_key(gcm):
     return (n, best)
 
 
+# ---------------------------------------------------------------------------
+# The JSON data of a `km` envelope, as a copy the standard encoder can take.
+
+
+def wire(value):
+    """Convert library data to JSON data, recursively and by type alone.
+
+    Frozensets (0-based index sets) become sorted 1-based lists and Weyl
+    elements become their 1-based canonical words.  Records become dicts of
+    their ``_fields``, tuples become lists and ``math.inf`` becomes None.
+    ``json.dumps(wire(v), indent=2, sort_keys=True)`` is the text `km`
+    prints for ``v``.  A Weyl element is known by its class name, so that
+    nothing here imports the package.
+    """
+    kind = type(value)
+    if kind is int or kind is str or kind is bool or value is None:
+        return value
+    if kind is frozenset:
+        return sorted(i + 1 for i in value)
+    if kind is tuple or kind is list:
+        return [wire(v) for v in value]
+    if kind is dict:
+        return {k: wire(v) for k, v in value.items()}
+    fields = getattr(kind, "_fields", None)
+    if fields is not None:
+        return {f: wire(getattr(value, f)) for f in fields}
+    if value == math.inf:
+        return None
+    if kind.__name__ == "WeylElement":
+        return [k + 1 for k in value.word]
+    raise TypeError(f"no wire form for {kind.__name__}")
+
+
 if __name__ == "__main__":
     import doctest
 

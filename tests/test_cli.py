@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
@@ -452,6 +455,50 @@ class TestDotOutput:
         path.write_text(json.dumps({"matrix": matrix, "labels": ['a"b', "c\\d"]}))
         assert cli.main([command, str(path), "--format", "dot"]) == 0
         assert line in capsys.readouterr().out.splitlines()
+
+
+class TestUnwritableStdout:
+    """A stdout that cannot take the envelope exits 4 with one message,
+    whether or not Python buffers it."""
+
+    @pytest.fixture(params=["buffered", "unbuffered"])
+    def env(self, request):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if request.param == "unbuffered":
+            env["PYTHONUNBUFFERED"] = "1"
+        return env
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["classify", "poset"])
+    def test_full_device_exits_4(self, env, tmp_path, command):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"matrix": [[2, -2], [-2, 2]]}))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "kmgroups.cli", command, str(path)],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        assert proc.returncode == 4
+        assert proc.stderr == (
+            "error: cannot write output: [Errno 28] No space left on device\n"
+        )
+
+    def test_reader_closing_early_exits_4(self, env, tmp_path):
+        # about 230 kB of poset, far more than a pipe holds
+        rows = [[2 if i == j else -2 for j in range(9)] for i in range(9)]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"matrix": rows}))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "kmgroups.cli", "poset", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 4
+        assert head == b'{\n  "comma'
+        assert err == b"error: cannot write output: [Errno 32] Broken pipe\n"
 
 
 def _parse(parser, argv):

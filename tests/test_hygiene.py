@@ -95,6 +95,46 @@ def test_every_local_import_is_used(path):
     assert unused_local_imports(ast.parse(path.read_text())) == []
 
 
+JSON_WRITERS = {"dump", "dumps"}
+
+
+def json_writes(tree):
+    """(line, name) of each use of ``json.dump`` or ``json.dumps``, called
+    or not, and of each import of either name from ``json``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            found += [(node.lineno, a.name) for a in node.names if a.name in JSON_WRITERS]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in JSON_WRITERS
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "json"
+        ):
+            found.append((node.lineno, f"json.{node.attr}"))
+    return sorted(found)
+
+
+def test_json_writes_are_found():
+    tree = ast.parse(
+        "import json\n"
+        "from json import dumps as d, loads\n"
+        "json.loads(s)\n"
+        "json.dump(x, fh, indent=2)\n"
+        "f = json.dumps\n"
+        "other.dumps(x)\n"
+    )
+    assert json_writes(tree) == [(2, "dumps"), (4, "json.dump"), (5, "json.dumps")]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC))
+)
+def test_no_second_json_writer(path):
+    # envelopes and matrices are written by ``cli._emit`` alone
+    assert json_writes(ast.parse(path.read_text())) == []
+
+
 def private_definitions(tree):
     """Top-level functions and classes, and methods of top-level classes,
     whose names are private (a leading underscore, not a dunder)."""

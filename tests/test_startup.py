@@ -40,6 +40,8 @@ ARGV = {
     "catalog": ["catalog"],
 }
 LIGHT = ("validate", "classify", "coxeter", "decompose", "nerve", "catalog")
+# the commands that read no Coxeter data
+NO_COXETER = ("validate", "catalog")
 # the commands that never build a Weyl group element
 NO_WEYL = ("validate", "classify", "coxeter", "decompose", "nerve", "ends", "indec",
            "poset", "report")
@@ -89,7 +91,9 @@ def test_import_cli_loads_no_heavy_engine():
     rc, names = imported("-c", "import kmgroups.cli")
     assert rc == 0
     assert "kmgroups.cli" in names
-    assert not names & (HEAVY | {"dataclasses", "kmgroups.weyl", "kmgroups.catalog"})
+    assert not names & (
+        HEAVY | {"dataclasses", "kmgroups.coxeter", "kmgroups.weyl", "kmgroups.catalog"}
+    )
 
 
 def test_public_names_load_only_their_module():
@@ -108,6 +112,11 @@ def test_verdicts_load_neither_parabolics_nor_roots(name, km_modules):
     names = km_modules(name)
     assert "kmgroups.analysis" in names
     assert not names & {"kmgroups.parabolics", "kmgroups.roots"}
+
+
+@pytest.mark.parametrize("name", NO_COXETER)
+def test_matrix_only_commands_load_no_coxeter(name, km_modules):
+    assert "kmgroups.coxeter" not in km_modules(name)
 
 
 @pytest.mark.parametrize("name", NO_WEYL)
