@@ -17,8 +17,8 @@ of JSON.
 Exit codes: 0 success (bounded "not found" / "inconclusive" payloads
 included), 1 internal error, 2 input or validation error, 3 enumeration
 budget exceeded, 4 stdout could not be written (a full disk, a reader that
-closed the pipe early).  Sets and words on the command line are 1-based
-comma-separated indices; JSON payloads use 1-based indices as well.
+closed the pipe early).  Integers on the command line are digits only; sets
+and words are 1-based comma-separated indices, as on the wire.
 
 Each command is a row of ``COMMANDS``; ``main`` builds every envelope.
 A process builds the parser of its own command only, and handlers import
@@ -96,19 +96,23 @@ def _read_gcm(path: str) -> GeneralizedCartanMatrix:
 
 def _parse_indices(text: str, rank: int, noun: str) -> list[int]:
     """'2,1,2' -> [2, 1, 2], each checked to lie in 1..rank; order kept."""
-    text = text.strip()
     if not text:
         return []
     out = []
     for tok in text.split(","):
-        try:
-            k = int(tok)
-        except ValueError as exc:
-            raise InputError(f"bad {noun} {tok!r}") from exc
+        k = _natural(tok, noun)
         if not 1 <= k <= rank:
             raise InputError(f"{noun} {k} out of range 1..{rank}")
         out.append(k)
     return out
+
+
+def _natural(text: str, noun: str) -> int:
+    """``text`` as ``_count`` reads it, the one integer syntax of `km`."""
+    try:
+        return _count(text)
+    except argparse.ArgumentTypeError as exc:
+        raise InputError(f"bad {noun} {text!r}") from exc
 
 
 def _parse_set(text: str, rank: int) -> frozenset[int]:
@@ -319,19 +323,21 @@ def _ends(gcm, args):
 def _indec(gcm, args):
     from .analysis import indecomposability_verdict
 
-    return {"q": args.q}, indecomposability_verdict(gcm, args.q)
+    q = _natural(args.q, "q")
+    return {"q": q}, indecomposability_verdict(gcm, q)
 
 
 def _report(gcm, args):
     from .analysis import (indecomposability_verdict, locally_normal_report,
                            open_subgroup_report, prime_power)
 
-    prime_power(args.q)  # fail fast on a bad q
-    return {"q": args.q}, {
+    q = _natural(args.q, "q")
+    prime_power(q)  # fail fast on a bad q
+    return {"q": q}, {
         "open_subgroup_classes": _poset_payload(open_subgroup_report(gcm)),
         "locally_normal": locally_normal_report(gcm),
         "ends": _ends(gcm, args)[1],
-        "indecomposability": indecomposability_verdict(gcm, args.q),
+        "indecomposability": indecomposability_verdict(gcm, q),
     }
 
 
@@ -505,7 +511,7 @@ def _int(flag: str) -> tuple[str, dict]:
 
 
 _FORMAT = _opt("--format", choices=("json", "dot"), default="json")
-_Q = _opt("--q", type=int, required=True, help="prime power")
+_Q = _opt("--q", required=True, help="prime power")
 _WORD = _opt("--word", required=True, help="1-based comma-separated letters")
 _BUDGET = _opt("--budget", type=_count, default=DEFAULT_BUDGET)
 _N = _opt("--n", type=_power_bound, required=True)

@@ -191,41 +191,40 @@ class DeodharMove(NamedTuple):
 def _conjugate_generator_set(
     group: WeylGroup, element: WeylElement, subset: Iterable[int]
 ) -> frozenset[int]:
-    """The set K with element^{-1} * subset * element = K, matrix-verified."""
-    from .weyl import WeylElement
+    """The set K with element^{-1} * subset * element = K, matrix-verified.
 
-    inv = element.inverse().rows
-    out = set()
-    for j in sorted(subset):
-        conj = WeylElement(group, group._right_mul_gen(inv, j)) * element
-        for k in range(group.rank):
-            if conj == group.generator(k):
-                out.add(k)
-                break
-        else:
-            raise MoveVerificationError(
-                f"conjugate of generator {j} is not a generator"
-            )
-    return frozenset(out)
+    element^{-1} s_j element is the reflection in element^{-1}(alpha_j), so it
+    is s_k exactly when column k is +-alpha_j; each pair is then checked as the
+    matrix identity s_j element = element s_k, by two one-generator steps.
+    """
+    rows, subset = element.rows, sorted(subset)
+    column_of = {  # j -> the k with element(alpha_k) = +-alpha_j
+        next(i for i, x in enumerate(col) if x): k
+        for k, col in enumerate(zip(*rows))
+        if col.count(0) == len(col) - 1 and sum(col) in (1, -1)
+    }
+    for j in subset:
+        k = column_of.get(j)
+        if k is None or group._left_mul_gen(j, rows) != group._right_mul_gen(rows, k):
+            raise MoveVerificationError(f"conjugate of generator {j} is not a generator")
+    return frozenset(column_of[j] for j in subset)
 
 
 def deodhar_move(group: WeylGroup, source: Iterable[int], s: int) -> DeodharMove:
     """Conjugate ``source`` across the outside generator ``s``.
 
     Requires the component K of source + {s} containing s to be spherical;
-    the move element is nu = w_{K - s} * w_K and the target is computed (and
-    verified) by matrix conjugation of each generator.
+    the move element nu = w_{K - s} * w_K is spelled by the two longest words,
+    and ``_conjugate_generator_set`` reads the target off nu's columns.
     """
     source = frozenset(source)
     if s in source:
         raise ValueError(f"generator {s} already belongs to {sorted(source)}")
-    enlarged = source | {s}
-    component = next(
-        c for c in group.diagram.components(enlarged) if s in c
-    )
+    component = next(c for c in group.diagram.components(source | {s}) if s in c)
     if not group.diagram.is_spherical(component):
         raise ComponentNotSphericalError(source, s, component)
-    nu = group.longest_element(component - {s}) * group.longest_element(component)
+    nu = group.from_word(group.longest_element(component - {s}).word
+                         + group.longest_element(component).word)
     target = _conjugate_generator_set(group, nu, source)
     if len(target) != len(source):
         raise MoveVerificationError("move changed the subset size")
@@ -251,42 +250,37 @@ def standard_conjugacy(
     """Search the finite move graph for a conjugation source -> target.
 
     Returns a verified witness, or None when the move graph is exhausted
-    (which settles non-conjugacy for standard subsets).
+    (which settles non-conjugacy for standard subsets).  w^{-1} J w = K is
+    an isomorphism of Coxeter diagrams, so sets whose sorted (component
+    size, finite type) lists differ are answered before any move.
     """
-    source = frozenset(source)
-    target = frozenset(target)
+    source, target = frozenset(source), frozenset(target)
     if source == target:
         return ConjugacyWitness(element=group.identity, moves=())
-    best_parent: dict[frozenset[int], tuple[frozenset[int], DeodharMove]] = {}
-    queue = [source]
-    seen = {source}
-    head = 0
-    while head < len(queue):
-        cur = queue[head]
-        head += 1
+    shapes = [sorted((len(c), getattr(group.diagram.spherical_type(c), "name", ""))
+                     for c in group.diagram.components(j)) for j in (source, target)]
+    if shapes[0] != shapes[1]:
+        return None
+    order, arrival = [source], {source: None}  # subset -> the move that reached it
+    for cur in order:  # breadth first: the list grows while it is read
         for s in sorted(set(range(group.rank)) - cur):
             try:
                 move = deodhar_move(group, cur, s)
             except ComponentNotSphericalError:
                 continue
-            if move.target in seen:
+            if move.target in arrival:
                 continue
-            seen.add(move.target)
-            best_parent[move.target] = (cur, move)
+            arrival[move.target] = move
+            order.append(move.target)
             if move.target == target:
-                moves = []
-                node = target
-                while node != source:
-                    node, m = best_parent[node]
-                    moves.append(m)
+                moves = [move]
+                while (move := arrival[move.source]) is not None:
+                    moves.append(move)
                 moves.reverse()
-                witness = group.identity
-                for m in moves:
-                    witness = witness * m.nu
+                witness = group.from_word(k for m in moves for k in m.nu.word)
                 if _conjugate_generator_set(group, witness, source) != target:
                     raise MoveVerificationError("assembled witness failed to verify")
                 return ConjugacyWitness(element=witness, moves=tuple(moves))
-            queue.append(move.target)
     return None
 
 

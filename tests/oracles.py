@@ -428,6 +428,93 @@ def minimal_non_spherical(diagram):
 
 
 # ---------------------------------------------------------------------------
+# Conjugating moves the dense way: w^{-1} s_j w as two matrix products,
+# compared with every generator matrix.
+
+
+def coxeter_components(gcm, subset):
+    """Components of the graph with an edge where a_ij != 0, restricted to
+    ``subset``, as frozensets."""
+    members = sorted(subset)
+    edges = [
+        (a, b)
+        for a, i in enumerate(members)
+        for b, j in enumerate(members)
+        if a < b and gcm[i][j]
+    ]
+    return [frozenset(members[a] for a in c) for c in uf_components(len(members), edges)]
+
+
+def finite_type(gcm, subset):
+    """Whether W_subset is finite: every principal minor of A_subset positive."""
+    members = sorted(subset)
+    sub = [[gcm[i][j] for j in members] for i in members]
+    return all(det > 0 for _, det in all_principal_minor_signs(sub))
+
+
+def longest_matrix(gcm, subset):
+    """w_K of a finite W_K: right-multiply by the smallest generator of K
+    whose column is still positive, until every column of K is negative."""
+    n = len(gcm)
+    w = eye(n)
+    while True:
+        k = next((k for k in sorted(subset) if any(w[r][k] > 0 for r in range(n))), None)
+        if k is None:
+            return w
+        w = mul(w, generator_matrix(gcm, k))
+
+
+def dense_conjugate_set(gcm, w, w_inv, subset):
+    """{k : w^{-1} s_j w = s_k, j in subset}: two products for each j, the
+    result compared with every generator matrix; None when a conjugate is
+    not a generator."""
+    n = len(gcm)
+    gens = [generator_matrix(gcm, k) for k in range(n)]
+    out = set()
+    for j in sorted(subset):
+        conj = mul(mul(w_inv, gens[j]), w)
+        hit = [k for k in range(n) if gens[k] == conj]
+        if not hit:
+            return None
+        out.add(hit[0])
+    return frozenset(out)
+
+
+def dense_move(gcm, source, s):
+    """Deodhar's move of ``source`` across ``s`` by dense products: the
+    component K of source + {s} holding s, nu = w_{K-s} w_K and the target
+    nu^{-1} source nu; nu and the target are None when W_K is infinite."""
+    component = next(c for c in coxeter_components(gcm, source | {s}) if s in c)
+    if not finite_type(gcm, component):
+        return component, None, None
+    # both longest elements are involutions, so nu^{-1} = w_K w_{K-s}
+    small, large = longest_matrix(gcm, component - {s}), longest_matrix(gcm, component)
+    nu = mul(small, large)
+    return component, nu, dense_conjugate_set(gcm, nu, mul(large, small), source)
+
+
+def dense_orbit(gcm, source):
+    """The move graph from ``source`` as the dense route walks it: breadth
+    first, s ascending, each subset kept at its first arrival.  Returns
+    subset -> (chain of subsets from ``source``, witness matrix), the witness
+    being the product of the nu of the moves along the chain."""
+    n = len(gcm)
+    found = {source: ((source,), eye(n))}
+    queue = [source]
+    for cur in queue:
+        for s in range(n):
+            if s in cur:
+                continue
+            _, nu, target = dense_move(gcm, cur, s)
+            if nu is None or target in found:
+                continue
+            chain, w = found[cur]
+            found[target] = (chain + (target,), mul(w, nu))
+            queue.append(target)
+    return found
+
+
+# ---------------------------------------------------------------------------
 # Seeded random inputs.
 
 

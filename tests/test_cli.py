@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import jsonschema
@@ -179,6 +180,25 @@ class TestExitCodes:
         )
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("decompose", "finite_a3", "--set", "1_0"),
+            ("decompose", "finite_a3", "--set", "+3"),
+            ("indec", "finite_a2", "--q", "1_6"),
+            ("report", "affine_a1", "--q", "+4"),
+            ("weyl", "word", "finite_a3", "--word", "1, 2"),
+            ("conj", "finite_a3", "--from", "1", "--to", "0x3"),
+        ],
+        ids=["set_underscore", "set_sign", "q_underscore", "q_sign", "word_space",
+             "to_hex"],
+    )
+    def test_integers_take_the_bound_syntax(self, catalog_paths, capsys, argv):
+        # sets, words and q accept what the bound options accept: digits only
+        assert cli.main([catalog_paths.get(a, a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad ") and err.count("\n") == 1, err
+
     def test_non_prime_power_is_exit_2(self, catalog_paths):
         proc = run_km("indec", catalog_paths["finite_a2"], "--q", "6")
         assert proc.returncode == 2
@@ -323,6 +343,49 @@ class TestExitCodes:
         assert len(poset["hasse"]) == math.comb(n, 2) + sum(
             k * math.comb(n, k) for k in range(3, n + 1)
         )
+
+    def test_conj_of_finite_a40_is_quick(self):
+        # moves read their targets off columns: no dense product per move
+        start = time.perf_counter()
+        proc = run_km("conj", "-", "--from", "1,2,3", "--to", "38,39,40",
+                      stdin=finite_a_text(40), timeout=20)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)["payload"]
+        assert payload["conjugate"] is True
+        assert payload["moves"][-1]["to"] == [38, 39, 40]
+        assert elapsed < 5
+
+    @pytest.mark.parametrize(
+        "n, source, target",
+        [(20, "1,2,3", "18,19"), (24, "1,3,5,7,9,11,13,15", "1,2,4,6,8,10,12,14")],
+        ids=["sizes", "eight_a1_against_a2_and_six_a1"],
+    )
+    def test_conj_of_unlike_diagrams_is_quick(self, n, source, target):
+        # the diagrams differ, so no move is made; the A_24 move graph alone
+        # holds 24,310 subsets
+        start = time.perf_counter()
+        proc = run_km("conj", "-", "--from", source, "--to", target,
+                      stdin=finite_a_text(n), timeout=20)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["payload"]["conjugate"] is False
+        assert elapsed < 1
+
+    @pytest.mark.parametrize(
+        "source, target", [("1,2,3", "6,7"), ("1,3,5,7", "1,2,4,6")]
+    )
+    def test_unlike_diagrams_answer_as_the_move_graph_does(self, source, target):
+        # the A_8 payload is the one an exhausted move graph gives
+        payload = km_payload("conj", "-", "--from", source, "--to", target,
+                             stdin=finite_a_text(8))
+        assert payload == {
+            "conjugate": False,
+            "from": [int(k) for k in source.split(",")],
+            "to": [int(k) for k in target.split(",")],
+            "witness_word": None,
+            "moves": None,
+        }
 
     def test_unknown_catalog_entry_is_exit_2(self):
         proc = run_km("catalog", "no_such_entry")

@@ -192,6 +192,36 @@ def test_every_private_helper_is_referenced():
     assert unreferenced_private(trees) == []
 
 
+def products(function):
+    """Line numbers of the ``*`` and ``**`` operators in a function, the
+    augmented forms included; ``*`` unpacking is not a product."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(function)
+        if isinstance(node, (ast.BinOp, ast.AugAssign))
+        and isinstance(node.op, (ast.Mult, ast.Pow))
+    )
+
+
+def test_products_are_found():
+    tree = ast.parse("def f(a, b):\n    c = a * b\n    c **= 2\n    return (*a, c)\n")
+    assert products(tree.body[0]) == [2, 3]
+
+
+@pytest.mark.parametrize(
+    "name", ["_conjugate_generator_set", "deodhar_move", "standard_conjugacy"]
+)
+def test_conjugacy_routines_make_no_dense_product(name):
+    # moves and witnesses go one generator at a time; the dense route of
+    # products lives in tests/oracles.py
+    tree = ast.parse((SRC / "parabolics.py").read_text())
+    function = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+    assert products(function) == []
+
+
 def layer_hooks():
     """``HOOKS`` of ``perfbench/layer_trace.py``, read from its source:
     hook name -> (module, attribute path, hot leaf?)."""

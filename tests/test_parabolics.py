@@ -12,7 +12,9 @@ from kmgroups import (
     ComponentNotSphericalError,
     EssentialPoset,
     GeneralizedCartanMatrix,
+    MoveVerificationError,
     NotEssentialError,
+    WeylElement,
     WeylGroup,
     compare_commensurability,
     coxeter_matrix,
@@ -23,6 +25,7 @@ from kmgroups import (
     parabolic_closure_search,
     standard_conjugacy,
 )
+from kmgroups.parabolics import _conjugate_generator_set
 from test_coxeter import subset_sweep
 from test_gcm import BOND_PAIRS
 
@@ -308,6 +311,95 @@ class TestStandardConjugacy:
             inv = witness.element.inverse()
             t = next(iter(target))
             assert inv * W.generator(0) * witness.element == W.generator(t)
+
+
+class TestDenseRoute:
+    """Moves and witnesses against the dense route of ``oracles``: each
+    w^{-1} s_j w by two matrix products, compared with every generator."""
+
+    @staticmethod
+    def assert_moves_match(rows, sources):
+        """Every move out of each source equals the dense route's."""
+        W = group(rows)
+        for source in sources:
+            for s in sorted(set(range(len(rows))) - source):
+                component, nu, target = oracles.dense_move(rows, source, s)
+                if nu is None:
+                    with pytest.raises(ComponentNotSphericalError):
+                        deodhar_move(W, source, s)
+                    continue
+                move = deodhar_move(W, source, s)
+                assert move.component == component, (rows, source, s)
+                assert move.target == target, (rows, source, s)
+                assert move.nu.rows == oracles.to_key(nu), (rows, source, s)
+
+    @staticmethod
+    def assert_witnesses_match(rows, sources):
+        """The witness of every subset a source's move graph reaches equals
+        the dense route's; about four other subsets of its size, spread
+        over the sorted list, are not conjugate to it."""
+        W = group(rows)
+        for source in sources:
+            orbit = oracles.dense_orbit(rows, source)
+            for target, (chain, element) in orbit.items():
+                witness = standard_conjugacy(W, source, target)
+                where = (rows, source, target)
+                assert witness.element.rows == oracles.to_key(element), where
+                assert witness.chain == (chain if target != source else ()), where
+            same_size = itertools.combinations(range(len(rows)), len(source))
+            others = [t for t in map(frozenset, same_size) if t not in orbit]
+            for target in others[:: len(others) // 4 + 1]:
+                assert standard_conjugacy(W, source, target) is None, (rows, source, target)
+
+    def test_moves_on_the_rank3_bond_sweep(self):
+        # every move out of a nonempty set, on all 1,728 rank-3 matrices
+        sources = oracles.all_subsets(range(3))[1:]
+        for (a, c), (b, e), (d, f) in itertools.product(BOND_PAIRS, repeat=3):
+            self.assert_moves_match([[2, a, b], [c, 2, d], [e, f, 2]], sources)
+
+    def test_on_the_subset_sweep(self, catalog_gcms):
+        # the rank-3 sweep again (its moves are all checked above), random
+        # matrices of rank 4-8 and direct sums: two seeded sources of one to
+        # rank - 1 generators each
+        rng = random.Random(20261026)
+        for rows in subset_sweep(catalog_gcms):
+            subsets = [s for s in oracles.all_subsets(range(len(rows)))
+                       if 0 < len(s) < len(rows)]
+            sources = rng.sample(subsets, min(2, len(subsets)))
+            if len(rows) > 3:
+                self.assert_moves_match(rows, sources)
+            self.assert_witnesses_match(rows, sources)
+
+    def test_on_random_matrices_of_rank_2_to_6(self):
+        rng = random.Random(20261027)
+        for _ in range(40):
+            rows = oracles.random_gcm(rng, rng.randint(2, 6),
+                                      density=rng.choice([0.3, 0.6, 0.9]), deepest=3)
+            sources = oracles.all_subsets(range(len(rows)))
+            self.assert_moves_match(rows, sources)
+            self.assert_witnesses_match(rows, sources)
+
+    def test_a_unit_column_alone_does_not_verify(self):
+        # column 1 is alpha_1, but this is no Weyl element: s_1 w != w s_1
+        W = group(A2)
+        fake = WeylElement(W, ((1, 5), (0, 1)))
+        with pytest.raises(MoveVerificationError):
+            _conjugate_generator_set(W, fake, {0})
+        assert _conjugate_generator_set(W, W.identity, {0}) == {0}
+
+    def test_a_conjugate_off_the_generators_is_refused(self):
+        # (s_1 s_2)^{-1} s_1 (s_1 s_2) = s_2 s_1 s_2, a reflection but no generator
+        W = group(A3)
+        with pytest.raises(MoveVerificationError):
+            _conjugate_generator_set(W, W.from_word([0, 1]), {0})
+        assert _conjugate_generator_set(W, W.from_word([0, 1]), {1}) == {0}
+
+    def test_conjugacy_makes_no_matrix_product(self, count_products):
+        W = group(oracles.direct_sum(A3, A3, AFF2))
+        assert standard_conjugacy(W, {0, 1}, {4, 5}) is None
+        witness = standard_conjugacy(W, {0, 3}, {2, 5})
+        assert witness is not None and witness.element.length > 0
+        assert count_products == []
 
 
 class TestNormalizerFactors:
