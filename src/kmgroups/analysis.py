@@ -7,7 +7,7 @@ combinatorial predicates; only the combinatorics is computed here.
 
 from __future__ import annotations
 
-import math
+from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import BadInputError
@@ -29,8 +29,40 @@ class NotPrimePowerError(BadInputError):
         super().__init__(f"{q} is not a prime power")
 
 
+# Strong Miller-Rabin to these 13 bases proves n prime below _PSI_13, the
+# least strong pseudoprime to all of them (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 2017).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
+def _passes_bases(n: int) -> bool:
+    """Whether n >= 2 is a strong probable prime to every base in ``_BASES``:
+    False proves n composite, True proves n prime below ``_PSI_13``."""
+    if any(n % a == 0 for a in _BASES):
+        return n in _BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    return all(  # a^d = 1, or a^(d 2^k) = -1 for some k < s
+        (x := pow(a, d, n)) == 1
+        or n - 1 in accumulate(range(s - 1), lambda y, _: y * y % n, initial=x)
+        for a in _BASES
+    )
+
+
+def _exact_root(q: int, e: int) -> int | None:
+    """The integer r with r^e = q, or None; Newton's method on integers."""
+    r = 1 << -(-q.bit_length() // e)  # at least the root
+    while (smaller := ((e - 1) * r + q // r ** (e - 1)) // e) < r:
+        r = smaller
+    return r if r**e == q else None
+
+
 def prime_power(q: int) -> tuple[int, int]:
-    """(p, e) with q = p^e, p prime, e >= 1; trial division up to sqrt(q).
+    """(p, e) with q = p^e, p prime, e >= 1, in time polynomial in the digits.
+
+    q = p^e is an e'-th power only when e' divides e, and any other q has
+    composite roots only, so the exact root at the largest exponent decides.
 
     >>> prime_power(8)
     (2, 3)
@@ -39,15 +71,13 @@ def prime_power(q: int) -> tuple[int, int]:
     """
     if q < 2:
         raise NotPrimePowerError(q)
-    # the least divisor of q is prime; none up to sqrt(q) means q is prime
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-    e = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        e += 1
-    if rest != 1:
+    e, p = next((e, r) for e in range(q.bit_length(), 0, -1)
+                if (r := _exact_root(q, e)) is not None)
+    if not _passes_bases(p):
         raise NotPrimePowerError(q)
+    if p >= _PSI_13:
+        raise BadInputError(f"cannot decide whether {q} is a prime power: "
+                            f"{p} is too large to prove prime")
     return p, e
 
 

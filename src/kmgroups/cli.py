@@ -35,7 +35,9 @@ import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Sequence
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _quote
+from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import DEFAULT_BUDGET, BadInputError, BudgetExceededError, __version__
@@ -356,11 +358,13 @@ def _weyl_word(gcm, args):
 
 def _weyl_straight(gcm, args):
     letters, element = _word_element(gcm, args)
+    lengths = [w.length for w in accumulate([element] * args.n, mul)]  # w, w^2, ...
     return {"word": letters, "n": args.n}, {
         "word": letters,
         "n": args.n,
-        "power_lengths": [(element**n).length for n in range(1, args.n + 1)],
-        "is_straight_up_to_n": element.is_straight(args.n),
+        "power_lengths": lengths,
+        # WeylElement.is_straight's predicate, read off the same lengths
+        "is_straight_up_to_n": all(x == n * lengths[0] for n, x in enumerate(lengths, 1)),
     }
 
 

@@ -79,36 +79,14 @@ class FiniteTypeInfo(NamedTuple):
     positive_roots: int
 
 
-class _Frozen:
-    """Immutable value semantics over ``_fields`` for the records that keep a
-    ``cached_property``, which needs the instance ``__dict__`` a NamedTuple
-    lacks.  Fields are stored straight into ``__dict__``; assignment fails."""
-
-    _fields: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign {name!r}: {type(self).__name__} is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        inside = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__name__}({inside})"
+# Fields of the records that cache derived data: a subclass without __slots__
+# keeps the __dict__ cached_property writes into; the tuple gives the values.
+class _DiagramFields(NamedTuple):
+    orders: tuple[tuple[float, ...], ...]
+    labels: tuple[str, ...]
 
 
-class CoxeterDiagram(_Frozen):
+class CoxeterDiagram(_DiagramFields):
     """A Coxeter matrix with its two derived graphs.
 
     ``orders[i][j]`` is the order m_ij of s_i s_j (1 on the diagonal,
@@ -126,11 +104,6 @@ class CoxeterDiagram(_Frozen):
     >>> d.is_spherical({0, 1})
     False
     """
-
-    _fields = ("orders", "labels")
-
-    def __init__(self, orders: tuple[tuple[float, ...], ...], labels: tuple[str, ...]):
-        vars(self).update(orders=orders, labels=labels)
 
     @classmethod
     def from_orders(
@@ -403,16 +376,16 @@ class SubsetDecomposition(NamedTuple):
         return self.spherical_part == frozenset()
 
 
-class Nerve(_Frozen):
+class _NerveFields(NamedTuple):
+    rank: int
+    simplices: tuple[frozenset[int], ...]
+
+
+class Nerve(_NerveFields):
     """All nonempty spherical subsets, ordered by inclusion.
 
     ``simplices`` is sorted by (size, members) and is closed downwards.
     """
-
-    _fields = ("rank", "simplices")
-
-    def __init__(self, rank: int, simplices: tuple[frozenset[int], ...]):
-        vars(self).update(rank=rank, simplices=simplices)
 
     @cached_property
     def _members(self) -> frozenset[frozenset[int]]:

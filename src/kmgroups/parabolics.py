@@ -312,8 +312,7 @@ def parabolic_closure_search(
     group: WeylGroup,
     element: WeylElement,
     depth: int,
-    generators: Iterable[int] | None = None,
-    budget: int | None = DEFAULT_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> ClosureCertificate:
     """Minimize the support of v^{-1} w v over the ball of radius ``depth``.
 
@@ -321,8 +320,7 @@ def parabolic_closure_search(
     words; the key minimized is (essential-part size, support size), ties
     resolved by scan order.
     """
-    return _closure_over(group.ball(depth, generators=generators, budget=budget),
-                         element, depth)
+    return _closure_over(group.ball(depth, budget=budget), element, depth)
 
 
 def _closure_over(
@@ -365,7 +363,7 @@ def find_j_regular(
     power_bound: int,
     max_height: int,
     depth: int,
-    budget: int | None = DEFAULT_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> JRegularCertificate | None:
     """Scan W_J - {e} by length then word for one passing all four checks.
 
@@ -381,7 +379,7 @@ def find_j_regular(
     torsion_bound = group.max_spherical_order
     closure_ball = None  # one ball for every candidate that gets that far
     for w in group.ball(max_len, generators=subset, budget=budget)[1:]:
-        if w.order(torsion_bound) is not None:
+        if w.order() is not None:
             continue
         if not w.is_straight(power_bound):
             continue

@@ -66,7 +66,7 @@ class RealRoot(NamedTuple):
 def positive_real_roots(
     group: WeylGroup,
     max_height: int,
-    budget: int | None = DEFAULT_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> list[RealRoot]:
     """All positive real roots of height <= max_height, in discovery order.
 
@@ -80,7 +80,7 @@ def positive_real_roots(
         RealRoot(coords, (group.identity, i))
         for i, coords in enumerate(group._identity_rows)
     ] if max_height >= 1 else []
-    if budget is not None and len(roots) > budget:
+    if len(roots) > budget:
         raise BudgetExceededError("root enumeration", budget)
     seen = {root.coords for root in roots}
     for root in roots:  # grows while it is walked: a breadth-first queue
@@ -99,7 +99,7 @@ def positive_real_roots(
             if sum(new_coords) > max_height or new_coords in seen:
                 continue
             seen.add(new_coords)
-            if budget is not None and len(seen) > budget:
+            if len(seen) > budget:
                 raise BudgetExceededError("root enumeration", budget)
             witness = WeylElement(group, group._left_mul_gen(k, w.rows))
             roots.append(RealRoot(new_coords, (witness, i)))

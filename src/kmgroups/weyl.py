@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from collections.abc import Iterable, Sequence
+from itertools import accumulate
 from operator import mul
 
 from . import DEFAULT_BUDGET, BudgetExceededError
@@ -116,7 +117,7 @@ class WeylGroup:
         self,
         radius: int,
         generators: Iterable[int] | None = None,
-        budget: int | None = DEFAULT_BUDGET,
+        budget: int = DEFAULT_BUDGET,
     ) -> list["WeylElement"]:
         """All elements of length <= radius (within the standard subgroup
         W_J generated by ``generators`` if given), length-lexicographic by
@@ -139,7 +140,7 @@ class WeylGroup:
         gens = sorted(set(generators)) if generators is not None else range(self.rank)
         if gens and not 0 <= gens[0] <= gens[-1] < self.rank:
             raise IndexError(f"generator indices {gens} out of range")
-        if budget is not None and budget < 1:
+        if budget < 1:
             raise BudgetExceededError("element ball", budget)
         out, level = [self.identity], [self.identity]
         for _ in range(radius):
@@ -163,7 +164,7 @@ class WeylGroup:
                     w.word = u.word + (k,)
                     nxt.append(w)
                     out.append(w)
-                    if budget is not None and len(out) > budget:
+                    if len(out) > budget:
                         raise BudgetExceededError("element ball", budget)
             if not nxt:
                 break
@@ -310,19 +311,19 @@ class WeylElement:
     def inverse(self) -> "WeylElement":
         return self.group.from_word(reversed(self.word))
 
-    def order(self, bound: int | None = None) -> int | None:
+    def order(self) -> int | None:
         """The element's order, or None if infinite.
 
-        Powers are tried up to ``bound`` (default: the largest spherical
-        subgroup order, which caps the order of every torsion element).
+        Powers are tried up to the largest spherical subgroup order, which
+        caps the order of every torsion element.
 
         The scan follows one row of heights instead of matrix powers.  Let
         h_k[j] be the height of w^k(alpha_j), which is the row 1^T M^k for
         the matrix M of w; each step h <- h M costs n dot products.  The
         identity is the only element whose height row is all ones: a
         nonidentity element v has a right descent j, so v(alpha_j) is a
-        negative root, of height at most -1.  So the first k <= bound with
-        h_k = (1, ..., 1) is the order, and minimality needs no further
+        negative root, of height at most -1.  So the first k up to the cap
+        with h_k = (1, ..., 1) is the order, and minimality needs no further
         check, since at every m < k the row was not all ones and w^m is not
         the identity.  The hit itself is rechecked by computing w^k with
         square-and-multiply.
@@ -336,12 +337,10 @@ class WeylElement:
         >>> W.from_word([0, 1, 2]).order() is None
         True
         """
-        if bound is None:
-            bound = self.group.max_spherical_order
         cols = tuple(zip(*self.rows))
         ones = [1] * len(cols)
         heights = [sum(col) for col in cols]
-        for k in range(1, bound + 1):
+        for k in range(1, self.group.max_spherical_order + 1):
             if heights == ones:
                 if not (self**k).is_identity:
                     raise RuntimeError(f"w^{k} has all heights 1 but is not e")
@@ -355,10 +354,5 @@ class WeylElement:
         A bounded certificate only; it never proves straightness beyond
         ``n_max``.
         """
-        base = self.length
-        power = self
-        for n in range(2, n_max + 1):
-            power = power * self
-            if power.length != n * base:
-                return False
-        return True
+        powers = accumulate([self] * n_max, mul)  # w, w^2, ..., one product each
+        return all(w.length == n * self.length for n, w in enumerate(powers, 1))

@@ -1,12 +1,14 @@
 """Verdict layer: ends, local indecomposability, structure reports."""
 
 import itertools
+import math
 import random
 
 import pytest
 
 import oracles
 from kmgroups import (
+    BadInputError,
     CriterionFailure,
     GeneralizedCartanMatrix,
     NotPrimePowerError,
@@ -46,20 +48,42 @@ class TestPrimePower:
 
     def test_matches_naive_trial_division(self):
         def naive(q):
-            p = next(d for d in range(2, q + 1) if q % d == 0)
+            # the least divisor of q is prime; none up to sqrt(q) means q is prime
+            p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
             e, rest = 0, q
             while rest % p == 0:
                 rest //= p
                 e += 1
             return (p, e) if rest == 1 else None
 
-        for q in range(2, 3001):
+        for q in range(2, 20001):
             expected = naive(q)
             if expected is None:
                 with pytest.raises(NotPrimePowerError):
                     prime_power(q)
             else:
                 assert prime_power(q) == expected, q
+
+    @pytest.mark.parametrize("q,expected", [
+        (10**18 + 3, (10**18 + 3, 1)), ((10**18 + 3) ** 2, (10**18 + 3, 2)),
+        (2**89, (2, 89)), (3**200, (3, 200)), ((2**61 - 1) ** 3, (2**61 - 1, 3)),
+    ])
+    def test_large_prime_powers(self, q, expected):
+        assert prime_power(q) == expected
+
+    @pytest.mark.parametrize("q", [(10**18 + 3) * (10**9 + 7), 2**89 * 3, 3215031751,
+                                   3825123056546413051, 318665857834031151167461])
+    def test_large_composites(self, q):
+        # the last three are strong pseudoprimes to the first 4, 9 and 12 bases
+        with pytest.raises(NotPrimePowerError):
+            prime_power(q)
+
+    @pytest.mark.parametrize("q", [2**89 - 1, 3317044064679887385961981])
+    def test_a_root_too_large_to_prove_prime_is_refused(self, q):
+        # the prime 2^89 - 1 and the composite psi_13 both pass all 13 bases
+        with pytest.raises(BadInputError, match="cannot decide") as exc:
+            prime_power(q)
+        assert not isinstance(exc.value, NotPrimePowerError)
 
 
 class TestEndsVerdict:

@@ -127,6 +127,12 @@ class TestRecords:
         assert len(RECORDS) == 22
 
     @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_every_record_is_a_tuple_with_fields(self, name):
+        # value semantics come from the tuple, for the caching records too
+        record = RECORDS[name]
+        assert isinstance(record, tuple) and type(record)._fields == record._fields
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
     def test_assignment_is_rejected(self, name):
         record = RECORDS[name]
         field = record._fields[0]

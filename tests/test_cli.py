@@ -1,10 +1,12 @@
 """End-to-end CLI tests: envelopes, schema conformance, exit codes, goldens."""
 
+import argparse
 import contextlib
 import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -15,8 +17,9 @@ import pytest
 
 from conftest import GOLDEN_DIR, km_payload, run_km
 from golden_cases import CASES
+from test_weyl import KERNEL_GCMS, random_word
 from kmgroups import (ComponentNotSphericalError, GeneralizedCartanMatrix,
-                      NotEssentialError, NotPrimePowerError, NotSphericalError)
+                      NotEssentialError, NotPrimePowerError, NotSphericalError, WeylGroup)
 from kmgroups import cli
 from kmgroups.cli import parse_gcm_text, serialize_gcm
 
@@ -30,6 +33,9 @@ def envelope_schema():
     schema = json.loads(text)
     jsonschema.Draft7Validator.check_schema(schema)
     return schema
+
+
+BIG_PRIME = 10**18 + 3
 
 
 def finite_a_text(n):
@@ -272,6 +278,35 @@ class TestExitCodes:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["payload"]["p"] == 1000000007
+
+    @pytest.mark.parametrize("command", ["indec", "report"])
+    @pytest.mark.parametrize("q,p,e", [
+        (BIG_PRIME, BIG_PRIME, 1), (BIG_PRIME**2, BIG_PRIME, 2), (2**89, 2, 89),
+    ])
+    def test_q_is_decided_in_time_polynomial_in_its_digits(
+            self, catalog_paths, command, q, p, e):
+        start = time.perf_counter()
+        proc = run_km(command, catalog_paths["affine_a2"], "--q", str(q), timeout=20)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        verdict = json.loads(proc.stdout)["payload"]
+        verdict = verdict.get("indecomposability", verdict)
+        assert (verdict["q"], verdict["p"], verdict["exponent"]) == (q, p, e)
+        assert elapsed < 2, elapsed
+
+    @pytest.mark.parametrize("q", [0, 1, 6, BIG_PRIME * (10**9 + 7)])
+    def test_q_that_is_no_prime_power_is_one_line_exit_2(self, catalog_paths, q):
+        proc = run_km("indec", catalog_paths["affine_a2"], "--q", str(q), timeout=20)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {q} is not a prime power\n"
+
+    def test_q_beyond_the_certified_range_is_one_line_exit_2(self, catalog_paths):
+        # 2^89 - 1 is prime, but too large for the 13 Miller-Rabin bases to prove it
+        q = 2**89 - 1
+        proc = run_km("report", catalog_paths["affine_a2"], "--q", str(q), timeout=20)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (f"error: cannot decide whether {q} is a prime power: "
+                               f"{q} is too large to prove prime\n")
 
     def test_classify_of_finite_a18_is_quick(self):
         proc = run_km("classify", "-", stdin=finite_a_text(18), timeout=20)
@@ -624,6 +659,21 @@ class TestWeylCommands:
         assert payload["is_straight_up_to_n"] is True
         assert payload["power_lengths"] == [2, 4, 6, 8, 10]
 
+
+    def test_straight_payload_matches_the_element(self):
+        rng = random.Random(14)
+        flags = set()
+        for rows in KERNEL_GCMS:
+            gcm = GeneralizedCartanMatrix.from_rows(rows)
+            for _ in range(3):
+                word, n = random_word(rng, len(rows), 6), rng.randint(2, 7)
+                args = argparse.Namespace(word=",".join(str(k + 1) for k in word), n=n)
+                _, payload = cli._weyl_straight(gcm, args)
+                w = WeylGroup(gcm).from_word(word)
+                assert payload["power_lengths"] == [(w**k).length for k in range(1, n + 1)]
+                assert payload["is_straight_up_to_n"] == w.is_straight(n), (rows, word, n)
+                flags.add(payload["is_straight_up_to_n"])
+        assert flags == {True, False}
 
     def test_affine_e8_roots_to_height_60(self):
         # real roots alpha + n delta, ht(delta) = 30: 240 per 30 heights

@@ -242,3 +242,103 @@ def test_every_layer_hook_resolves(hook):
     for part in path.split("."):
         assert hasattr(owner, part), f"hook {name}: {module}.{path} has no {part!r}"
         owner = getattr(owner, part)
+
+
+INSTANCE_DICT_WRITERS = {"update", "setdefault", "pop", "popitem", "clear"}
+
+
+def is_instance_dict(node):
+    """Whether ``node`` is ``vars(self)`` or ``self.__dict__``."""
+    if isinstance(node, ast.Call):
+        return (isinstance(node.func, ast.Name) and node.func.id == "vars"
+                and [getattr(a, "id", None) for a in node.args] == ["self"])
+    return (isinstance(node, ast.Attribute) and node.attr == "__dict__"
+            and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+
+def hand_made_immutability(tree):
+    """(line, what) of each ``__setattr__`` or ``__delattr__`` a class
+    defines, and of each write through ``vars(self)`` or ``self.__dict__``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            found += [(d.lineno, d.name) for d in node.body
+                      if isinstance(d, ast.FunctionDef)
+                      and d.name in ("__setattr__", "__delattr__")]
+        elif (
+            isinstance(node, ast.Attribute) and node.attr in INSTANCE_DICT_WRITERS
+            or isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)
+        ) and is_instance_dict(node.value):
+            found.append((node.lineno, "instance dict write"))
+    return sorted(found)
+
+
+def test_hand_made_immutability_is_found():
+    tree = ast.parse(
+        "class A:\n"
+        "    def __init__(self, x):\n"
+        "        vars(self).update(x=x)\n"
+        "    def __setattr__(self, name, value): pass\n"
+        "    def __delattr__(self, name): pass\n"
+        "    def f(self):\n"
+        "        self.__dict__['y'] = vars(self).get('x')\n"
+        "        del vars(self)['x']\n"
+        "        return vars(self)['y'], vars(other).update(z=1)\n"
+    )
+    assert hand_made_immutability(tree) == [
+        (3, "instance dict write"), (4, "__setattr__"), (5, "__delattr__"),
+        (7, "instance dict write"), (8, "instance dict write"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC))
+)
+def test_records_take_their_immutability_from_the_tuple(path):
+    # a record that caches derived data subclasses a NamedTuple of its
+    # fields; it does not guard assignment by hand
+    assert hand_made_immutability(ast.parse(path.read_text())) == []
+
+
+def budget_none_tests(tree):
+    """(line, function) of each comparison of a parameter named ``budget``
+    with None, in the function that takes it or in one nested in it."""
+    found = []
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        arguments = function.args
+        params = [*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs]
+        if "budget" not in {a.arg for a in params}:
+            continue
+        for node in ast.walk(function):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            if (any(isinstance(o, ast.Name) and o.id == "budget" for o in operands)
+                    and any(isinstance(o, ast.Constant) and o.value is None
+                            for o in operands)):
+                found.append((node.lineno, function.name))
+    return sorted(found)
+
+
+def test_budget_none_tests_are_found():
+    tree = ast.parse(
+        "def f(n, budget=None):\n"
+        "    if budget is not None and n > budget:\n"
+        "        return None == budget\n"
+        "    return budget < n\n"
+        "def g(*, budget):\n"
+        "    return [x for x in range(3) if budget != None]\n"
+        "def h(limit):\n"
+        "    return budget is None\n"
+    )
+    assert budget_none_tests(tree) == [(2, "f"), (3, "f"), (6, "g")]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC))
+)
+def test_budgets_are_plain_ints(path):
+    # every enumeration counts against a budget; None (no budget) is no option
+    assert budget_none_tests(ast.parse(path.read_text())) == []

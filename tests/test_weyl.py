@@ -395,7 +395,6 @@ class TestOrder:
     def test_infinite_order_is_none(self):
         W = group(AFF1)
         assert W.from_word([0, 1]).order() is None
-        assert W.from_word([0, 1]).order(bound=50) is None
 
     def test_max_spherical_order(self):
         assert group(A2).max_spherical_order == 6
