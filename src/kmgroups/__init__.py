@@ -47,13 +47,12 @@ _EXPORTS = {
         "AFFINE", "FINITE", "INDEFINITE", "DiagonalNotTwoError", "GcmScalars",
         "GcmTypeVerdict", "GcmValidationError", "GeneralizedCartanMatrix",
         "NotSquareError", "PositiveOffDiagonalError", "ZeroAsymmetryError",
-        "classify", "components", "scalars",
+        "classify", "scalars",
     ),
     "coxeter": (
         "INFINITE", "CoxeterDiagram", "FiniteTypeInfo", "Nerve", "NotSphericalError",
         "StrongConnectivity", "SubsetDecomposition", "coxeter_matrix",
         "graph_strong_connectivity", "nerve_strong_connectivity",
-        "strongly_connected_graph", "strongly_connected_nerve",
     ),
     "weyl": ("WeylElement", "WeylGroup"),
     "roots": (

@@ -15,7 +15,6 @@ from .coxeter import (
     coxeter_matrix,
     graph_strong_connectivity,
     nerve_strong_connectivity,
-    strongly_connected_graph,
 )
 from .gcm import GeneralizedCartanMatrix, classify, scalars
 
@@ -160,7 +159,8 @@ def indecomposability_verdict(
     verdict = classify(gcm)
     sc = scalars(gcm)
     # ends_verdict's one_ended without the nerve; finite types enumerate nothing
-    one_ended = not verdict.all_finite and strongly_connected_graph(coxeter_matrix(gcm))
+    one_ended = (not verdict.all_finite
+                 and graph_strong_connectivity(coxeter_matrix(gcm)).strongly_connected)
     m = sc.max_abs_offdiag
     q_bound_ok = m <= 1 or (m == 2 and q >= 3) or (m == 3 and q >= 4)
     # each sufficient criterion with its hypotheses, tried in this order
@@ -230,7 +230,7 @@ def open_subgroup_report(gcm: GeneralizedCartanMatrix) -> OpenSubgroupReport:
     full = frozenset(range(diagram.rank))
     classes = []
     for subset in poset.elements:
-        representative = poset.representative(subset)
+        representative = diagram.parabolic_name(subset)
         if not subset:
             description = "compact open subgroups"
         elif subset == full:
@@ -243,7 +243,7 @@ def open_subgroup_report(gcm: GeneralizedCartanMatrix) -> OpenSubgroupReport:
         classes.append(
             OpenSubgroupClass(
                 subset=subset,
-                class_label=poset.class_label(subset),
+                class_label=f"[W_{diagram.label_set(subset)}]",
                 representative=representative,
                 description=description,
             )
@@ -298,7 +298,7 @@ def locally_normal_report(gcm: GeneralizedCartanMatrix) -> StructureReport:
     records = []
     compact_or_open = True
     for subset in essential_subsets(diagram)[1:]:
-        perp = diagram.decompose(subset).perp
+        perp = diagram.perp(subset)
         compact_or_open = compact_or_open and diagram.is_spherical(perp)
         for extra in (frozenset(), *diagram.spherical_subsets(perp)):
             union = subset | extra

@@ -21,10 +21,6 @@ NAMES = (
 )
 
 
-def names() -> tuple[str, ...]:
-    return NAMES
-
-
 def read_text(name: str) -> str:
     if name not in NAMES:
         raise KeyError(f"unknown catalog entry {name!r}; known: {', '.join(NAMES)}")

@@ -17,8 +17,9 @@ of JSON.
 Exit codes: 0 success (bounded "not found" / "inconclusive" payloads
 included), 1 internal error, 2 input or validation error, 3 enumeration
 budget exceeded, 4 stdout could not be written (a full disk, a reader that
-closed the pipe early).  Integers on the command line are digits only; sets
-and words are 1-based comma-separated indices, as on the wire.
+closed the pipe early).  Integers on the command line, and the entries of
+plain rows after an optional minus, are ASCII digits only; sets and words
+are 1-based comma-separated indices, as on the wire.
 
 Each command is a row of ``COMMANDS``; ``main`` builds every envelope.
 A process builds the parser of its own command only, and handlers import
@@ -74,9 +75,10 @@ def parse_gcm_text(text: str) -> GeneralizedCartanMatrix:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            rows.append([int(tok) for tok in line.split()])
-        except ValueError as exc:
+        try:  # an entry is what ``_count`` reads, with an optional leading minus
+            rows.append([-_count(t[1:]) if t[0] == "-" else _count(t)
+                         for t in line.split()])
+        except argparse.ArgumentTypeError as exc:
             raise InputError(f"bad integer row: {line!r}") from exc
     return GeneralizedCartanMatrix.from_rows(rows)
 
@@ -465,7 +467,7 @@ def _catalog(gcm, args):
     from . import catalog
 
     if args.name is None:
-        return {}, {"names": catalog.names()}
+        return {}, {"names": catalog.NAMES}
     try:
         return catalog.read_text(args.name)
     except KeyError as exc:  # str() of a KeyError is the repr of its message
@@ -494,10 +496,13 @@ def _opt(flag: str, **keywords) -> tuple[str, dict]:
 
 
 def _count(text: str) -> int:
-    """An argparse type: a nonnegative integer bound."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
-    return int(text)
+    """An argparse type: a nonnegative integer bound, in ASCII digits."""
+    try:
+        if text.isascii() and text.isdecimal():
+            return int(text)
+    except ValueError:  # more digits than the interpreter's int() converts
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
 
 
 def _power_bound(text: str) -> int:

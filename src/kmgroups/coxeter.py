@@ -223,21 +223,7 @@ class CoxeterDiagram(_DiagramFields):
         if branch:
             if heavy:
                 return None
-            adj = {i: [] for i in comp}
-            for i, j in edges:
-                adj[i].append(j)
-                adj[j].append(i)
-            b = branch[0]
-            legs = []
-            for first in adj[b]:
-                length = 1
-                prev, cur = b, first
-                while degree[cur] == 2:
-                    nxt = next(x for x in adj[cur] if x != prev)
-                    prev, cur = cur, nxt
-                    length += 1
-                legs.append(length)
-            legs.sort()
+            legs = sorted(map(len, self.components(set(comp) - set(branch))))
             if legs[:2] == [1, 1]:
                 return FiniteTypeInfo(
                     f"D{n}", 2 ** (n - 1) * math.factorial(n), n * (n - 1)
@@ -303,17 +289,18 @@ class CoxeterDiagram(_DiagramFields):
             *[c for c in comps if self.spherical_type(c) is not None]
         )
         essential = subset - spherical
-        perp = frozenset(
-            i
-            for i in range(self.rank)
-            if all(self.orders[i][j] == 2 for j in subset)
-        )
         return SubsetDecomposition(
             subset=subset,
             components=comps,
             spherical_part=spherical,
             essential_part=essential,
-            perp=perp,
+            perp=self.perp(subset),
+        )
+
+    def perp(self, subset: Collection[int]) -> frozenset[int]:
+        """The generators commuting with every member of ``subset``."""
+        return frozenset(
+            i for i in self.index_set if all(self.orders[i][j] == 2 for j in subset)
         )
 
     def spherical_subsets(self, base: Iterable[int]) -> tuple[frozenset[int], ...]:
@@ -476,10 +463,6 @@ def graph_strong_connectivity(diagram: CoxeterDiagram) -> StrongConnectivity:
     return _separation(neighbours, diagram._spherical_subsets)
 
 
-def strongly_connected_graph(diagram: CoxeterDiagram) -> bool:
-    return graph_strong_connectivity(diagram).strongly_connected
-
-
 def nerve_strong_connectivity(nerve: Nerve) -> StrongConnectivity:
     """Connectivity of every full subcomplex on the complement of a simplex.
 
@@ -493,7 +476,3 @@ def nerve_strong_connectivity(nerve: Nerve) -> StrongConnectivity:
         neighbours[a].add(b)
         neighbours[b].add(a)
     return _separation(neighbours, nerve.simplices)
-
-
-def strongly_connected_nerve(nerve: Nerve) -> bool:
-    return nerve_strong_connectivity(nerve).strongly_connected

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import BadInputError
 from ._intmat import Matrix, det
 
-if TYPE_CHECKING:  # classify and components import coxeter when they run
+if TYPE_CHECKING:  # classify imports coxeter when it runs
     from .coxeter import CoxeterDiagram
 
 FINITE = "finite"
@@ -133,7 +133,12 @@ class GeneralizedCartanMatrix(NamedTuple):
         elif not isinstance(labels, (list, tuple)):
             raise GcmValidationError("labels are not a list")
         else:
-            labels = tuple(str(x) for x in labels)
+            for i, x in enumerate(labels):
+                if isinstance(x, bool) or not isinstance(x, (str, int)):
+                    raise GcmValidationError(
+                        f"label {i + 1} is {x!r}, not a string or integer", (i,)
+                    )
+            labels = tuple(map(str, labels))
             if len(labels) != n:
                 raise GcmValidationError(
                     f"{len(labels)} labels for a rank-{n} matrix"
@@ -156,21 +161,6 @@ class GeneralizedCartanMatrix(NamedTuple):
         return tuple(tuple(self.entries[i][j] for j in idx) for i in idx)
 
     label_set = _label_set
-
-
-def components(gcm: GeneralizedCartanMatrix) -> tuple[frozenset[int], ...]:
-    """Connected components of the index set, joining i and j iff a_ij != 0.
-
-    Since a_ij != 0 iff m_ij >= 3, these are the components of the defining
-    graph of the Coxeter diagram.  Returned sorted by smallest member.
-
-    >>> g = GeneralizedCartanMatrix.from_rows([[2, 0, -1], [0, 2, 0], [-1, 0, 2]])
-    >>> [sorted(c) for c in components(g)]
-    [[0, 2], [1]]
-    """
-    from .coxeter import coxeter_matrix
-
-    return coxeter_matrix(gcm).components()
 
 
 class GcmTypeVerdict(NamedTuple):

@@ -86,7 +86,6 @@ def compare_commensurability(
 class EssentialPoset(NamedTuple):
     """Essential subsets ordered by inclusion, with Hasse cover pairs."""
 
-    diagram: CoxeterDiagram
     elements: tuple[frozenset[int], ...]
     hasse: tuple[tuple[int, int], ...]  # (smaller index, larger index)
 
@@ -162,20 +161,9 @@ class EssentialPoset(NamedTuple):
         ranked = sorted((m.bit_count(), members(m), m) for m in order)
         index = {m: k for k, (_, _, m) in enumerate(ranked)}
         return cls(
-            diagram=diagram,
             elements=tuple(frozenset(s) for _, s, _ in ranked),
             hasse=tuple(sorted((index[a], index[b]) for a, b in pairs)),
         )
-
-    def class_label(self, subset: frozenset[int]) -> str:
-        return f"[W_{self.diagram.label_set(subset)}]"
-
-    def representative(self, subset: frozenset[int]) -> str:
-        return self.diagram.parabolic_name(subset)
-
-    @property
-    def maximum(self) -> frozenset[int]:
-        return self.elements[-1] if self.elements else frozenset()
 
 
 class DeodharMove(NamedTuple):

@@ -16,14 +16,14 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 @pytest.fixture(scope="session")
 def catalog_gcms():
-    return {name: catalog.load(name) for name in catalog.names()}
+    return {name: catalog.load(name) for name in catalog.NAMES}
 
 
 @pytest.fixture(scope="session")
 def catalog_paths(tmp_path_factory):
     base = tmp_path_factory.mktemp("catalog")
     out = {}
-    for name in catalog.names():
+    for name in catalog.NAMES:
         p = base / f"{name}.json"
         p.write_text(catalog.read_text(name))
         out[name] = str(p)

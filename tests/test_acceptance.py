@@ -28,15 +28,15 @@ from kmgroups import (
     ends_verdict,
     essential_subsets,
     find_j_regular,
+    graph_strong_connectivity,
     indecomposability_verdict,
+    nerve_strong_connectivity,
     open_subgroup_report,
     locally_normal_report,
     parabolic_closure_search,
     periodic_roots,
     positive_real_roots,
     standard_conjugacy,
-    strongly_connected_graph,
-    strongly_connected_nerve,
 )
 from kmgroups.parabolics import ComponentNotSphericalError
 
@@ -91,7 +91,7 @@ _CURATED_RANK4 = {
 
 
 def _catalog_gcms():
-    return [catalog.load(name) for name in catalog.names()]
+    return [catalog.load(name) for name in catalog.NAMES]
 
 
 def test_criterion_01_bond_order_table_bit_exact():
@@ -166,8 +166,8 @@ def test_criterion_04_ends_equivalence_on_random_corpus():
     assert len(corpus) >= 106
     for rows in corpus:
         diagram = coxeter_matrix(GeneralizedCartanMatrix.from_rows(rows))
-        assert strongly_connected_graph(diagram) == strongly_connected_nerve(
-            diagram.nerve()
+        assert graph_strong_connectivity(diagram).strongly_connected == (
+            nerve_strong_connectivity(diagram.nerve()).strongly_connected
         ), rows
 
 
@@ -350,7 +350,7 @@ def test_criterion_10_indecomposability_verdicts():
 
 
 def test_criterion_11_reports_and_golden_stability(catalog_paths):
-    for name in catalog.names():
+    for name in catalog.NAMES:
         g = catalog.load(name)
         report = open_subgroup_report(g)
         subsets = essential_subsets(coxeter_matrix(g))

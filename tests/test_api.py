@@ -42,14 +42,13 @@ PUBLIC = [
     "OpenSubgroupClass", "OpenSubgroupReport", "PositiveOffDiagonalError",
     "RealRoot", "SandwichRecord", "StrongConnectivity", "StructureReport",
     "SubsetDecomposition", "WeylElement", "WeylGroup", "ZeroAsymmetryError",
-    "__version__", "classify", "compare_commensurability", "components",
-    "coxeter_matrix", "deodhar_move", "ends_verdict", "essential_subsets",
-    "find_j_regular", "graph_strong_connectivity", "indecomposability_verdict",
+    "__version__", "classify", "compare_commensurability", "coxeter_matrix",
+    "deodhar_move", "ends_verdict", "essential_subsets", "find_j_regular",
+    "graph_strong_connectivity", "indecomposability_verdict",
     "locally_normal_report", "nerve_strong_connectivity", "normalizer_factors",
     "open_subgroup_report", "parabolic_closure_search", "periodic_roots",
     "positive_real_roots", "prime_power", "reflection_of", "scalars",
-    "split_by_support", "standard_conjugacy", "strongly_connected_graph",
-    "strongly_connected_nerve",
+    "split_by_support", "standard_conjugacy",
 ]
 
 # the exported names that carry no __module__ of their own

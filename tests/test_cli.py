@@ -195,15 +195,48 @@ class TestExitCodes:
             ("report", "affine_a1", "--q", "+4"),
             ("weyl", "word", "finite_a3", "--word", "1, 2"),
             ("conj", "finite_a3", "--from", "1", "--to", "0x3"),
+            ("decompose", "finite_a2", "--set", "\u0661"),
+            ("indec", "finite_a2", "--q", "\u0663"),
+            ("weyl", "word", "finite_a2", "--word", "\uff11,\uff12"),
+            ("indec", "finite_a2", "--q", "7" * 5000),
         ],
         ids=["set_underscore", "set_sign", "q_underscore", "q_sign", "word_space",
-             "to_hex"],
+             "to_hex", "set_arabic_indic", "q_arabic_indic", "word_fullwidth",
+             "q_too_many_digits"],
     )
     def test_integers_take_the_bound_syntax(self, catalog_paths, capsys, argv):
-        # sets, words and q accept what the bound options accept: digits only
+        # sets, words and q accept what the bound options accept: ASCII digits only
         assert cli.main([catalog_paths.get(a, a) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "first_row",
+        ["2 -1_0", "+2 -1", "\u0662 -1", "2 --1", "2 -", "2 -" + "1" * 5000],
+        ids=["underscore", "plus", "arabic_indic", "double_minus", "bare_minus",
+             "too_many_digits"],
+    )
+    def test_plain_rows_take_ascii_digits(self, tmp_path, capsys, first_row):
+        # an entry is the bound syntax with an optional leading minus
+        path = tmp_path / "rows.txt"
+        path.write_text(f"{first_row}\n-1 2\n", encoding="utf-8")
+        assert cli.main(["validate", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: bad integer row: {first_row!r}\n")
+
+    @pytest.mark.parametrize(
+        "labels, stderr",
+        [
+            ('[null, {"a": [1.5]}]', "Invalid(1): label 1 is None, not a string or integer"),
+            ('["a", true]', "Invalid(2): label 2 is True, not a string or integer"),
+        ],
+        ids=["none_and_dict", "bool"],
+    )
+    def test_labels_are_strings_or_integers(self, tmp_path, capsys, labels, stderr):
+        # no Python repr of another value reaches the wire as a label
+        path = tmp_path / "labels.json"
+        path.write_text(f'{{"matrix": [[2, -1], [-1, 2]], "labels": {labels}}}')
+        assert cli.main(["validate", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {stderr}\n")
 
     def test_non_prime_power_is_exit_2(self, catalog_paths):
         proc = run_km("indec", catalog_paths["finite_a2"], "--q", "6")
@@ -462,8 +495,9 @@ class TestExitCodes:
             ("closure", "affine_a2", "--word", "1,2", "--depth", "-1"),
             ("jregular", "affine_a1", "--set", "1,2", "--max-len", "-2", "--n", "2",
              "--max-height", "2", "--depth", "1"),
+            ("roots", "finite_a2", "--max-height", "\u0663"),
         ],
-        ids=["n", "max_height", "budget", "depth", "max_len"],
+        ids=["n", "max_height", "budget", "depth", "max_len", "max_height_arabic_indic"],
     )
     def test_negative_bound_is_exit_2(self, catalog_paths, capsys, argv):
         from kmgroups import cli

@@ -15,8 +15,6 @@ from kmgroups import (
     coxeter_matrix,
     graph_strong_connectivity,
     nerve_strong_connectivity,
-    strongly_connected_graph,
-    strongly_connected_nerve,
 )
 from test_gcm import BOND_PAIRS
 
@@ -199,6 +197,37 @@ class TestSphericalType:
         # one leg longer than E8 allows: affine E8, not finite
         e9 = branched(9, [1, 2, 5])
         assert e9.spherical_type(range(9)) is None
+
+    def test_branched_trees_agree_with_sylvester(self):
+        # every simply-laced tree with one branch vertex and legs p <= q <= r,
+        # as built and under two seeded renamings, so that a leg need not be
+        # a run of consecutive indices.  A symmetric Cartan matrix is of
+        # finite type iff it is positive definite: its leading minors decide.
+        named = {(1, 2, 2): ("E6", 36), (1, 2, 3): ("E7", 63), (1, 2, 4): ("E8", 120)}
+        rng = random.Random(1501)
+        finite = 0
+        for legs in itertools.combinations_with_replacement(range(1, 8), 3):
+            n = sum(legs) + 1
+            if n > 10:
+                continue
+            rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+            start = 1
+            for leg in legs:  # vertex 0 is the branch point
+                path = [0, *range(start, start + leg)]
+                for a, b in zip(path, path[1:]):
+                    rows[a][b] = rows[b][a] = -1
+                start += leg
+            for perm in (range(n), rng.sample(range(n), n), rng.sample(range(n), n)):
+                m = oracles.permuted(rows, perm)
+                info = diagram(m).spherical_type(range(n))
+                definite = all(oracles.det_cofactor([r[:k] for r in m[:k]]) > 0
+                               for k in range(1, n + 1))
+                assert (info is not None) == definite, (legs, perm)
+                if info is not None:
+                    expected = (f"D{n}", n * (n - 1)) if legs[1] == 1 else named[legs]
+                    assert (info.name, info.positive_roots) == expected, (legs, perm)
+                    finite += 1
+        assert finite == 3 * 10  # D4 ... D10, E6, E7 and E8
 
     @pytest.mark.parametrize(
         "rows",
@@ -386,8 +415,8 @@ class TestSphericalSubsets:
 class TestStrongConnectivity:
     def test_affine_triangle_is_strongly_connected(self):
         d = diagram([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
-        assert strongly_connected_graph(d)
-        assert strongly_connected_nerve(d.nerve())
+        assert graph_strong_connectivity(d).strongly_connected
+        assert nerve_strong_connectivity(d.nerve()).strongly_connected
         assert graph_strong_connectivity(d).failing_subset is None
 
     def test_infinite_bond_rank2_fails_at_empty_set(self):
@@ -410,16 +439,16 @@ class TestStrongConnectivity:
 
     def test_rank_one_is_strongly_connected(self):
         d = diagram([[2]])
-        assert strongly_connected_graph(d)
-        assert strongly_connected_nerve(d.nerve())
+        assert graph_strong_connectivity(d).strongly_connected
+        assert nerve_strong_connectivity(d.nerve()).strongly_connected
 
     def test_two_criteria_agree_on_random_matrices(self):
         rng = random.Random(20260814)
         for _ in range(60):
             rows = oracles.random_gcm(rng, rng.randrange(2, 6), density=0.6, deepest=3)
             d = diagram(rows)
-            assert strongly_connected_graph(d) == strongly_connected_nerve(
-                d.nerve()
+            assert graph_strong_connectivity(d).strongly_connected == (
+                nerve_strong_connectivity(d.nerve()).strongly_connected
             ), rows
 
     def test_nerve_route_matches_all_simplices_oracle(self, catalog_gcms):

@@ -1,6 +1,8 @@
-"""Run the doctests embedded in the library modules."""
+"""Run the doctests embedded in the library modules, and README's
+library quick start."""
 
 import doctest
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +30,9 @@ MODULES = [
 def test_module_doctests(module):
     result = doctest.testmod(module)
     assert result.failed == 0
+
+
+def test_readme_quick_start():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
+    assert result.attempted > 0 and result.failed == 0

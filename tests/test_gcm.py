@@ -17,7 +17,7 @@ from kmgroups import (
     PositiveOffDiagonalError,
     ZeroAsymmetryError,
     classify,
-    components,
+    coxeter_matrix,
     scalars,
 )
 
@@ -112,6 +112,23 @@ class TestValidation:
         with pytest.raises(GcmValidationError):
             GeneralizedCartanMatrix.from_rows(A2, labels=labels)
 
+    @pytest.mark.parametrize(
+        "labels, position, shown",
+        [([None, "b"], 0, "None"), (["a", {"a": [1.5]}], 1, "{'a': [1.5]}"),
+         (["a", True], 1, "True"), ([1.5, "b"], 0, "1.5")],
+        ids=["none", "dict", "bool", "float"],
+    )
+    def test_labels_are_strings_or_integers(self, labels, position, shown):
+        with pytest.raises(GcmValidationError) as exc:
+            GeneralizedCartanMatrix.from_rows(A2, labels=labels)
+        assert exc.value.position == (position,)
+        assert str(exc.value) == (
+            f"label {position + 1} is {shown}, not a string or integer")
+
+    def test_integer_labels_render_as_digits(self):
+        g = GeneralizedCartanMatrix.from_rows(A2, labels=[7, "b"])
+        assert g.labels == ("7", "b")
+
     def test_tuples_are_accepted(self):
         g = GeneralizedCartanMatrix.from_rows(((2, -1), (-1, 2)), labels=("a", "b"))
         assert g == GeneralizedCartanMatrix.from_rows(A2, labels=["a", "b"])
@@ -134,13 +151,13 @@ class TestComponents:
         g = GeneralizedCartanMatrix.from_rows(
             [[2, -1, 0], [-1, 2, 0], [0, 0, 2]]
         )
-        assert [sorted(c) for c in components(g)] == [[0, 1], [2]]
+        assert [sorted(c) for c in coxeter_matrix(g).components()] == [[0, 1], [2]]
 
     def test_connected_matrix_is_one_component(self):
         g = GeneralizedCartanMatrix.from_rows(
             [[2, -2, 0], [-2, 2, -1], [0, -1, 2]]
         )
-        assert [sorted(c) for c in components(g)] == [[0, 1, 2]]
+        assert [sorted(c) for c in coxeter_matrix(g).components()] == [[0, 1, 2]]
 
     def test_agrees_with_union_find(self):
         rows = [
@@ -156,7 +173,8 @@ class TestComponents:
             for j in range(i + 1, 4)
             if rows[i][j] != 0
         ]
-        assert [sorted(c) for c in components(g)] == oracles.uf_components(4, edges)
+        assert [sorted(c) for c in coxeter_matrix(g).components()] == (
+            oracles.uf_components(4, edges))
 
 
 class TestClassify:

@@ -342,3 +342,108 @@ def test_budget_none_tests_are_found():
 def test_budgets_are_plain_ints(path):
     # every enumeration counts against a budget; None (no budget) is no option
     assert budget_none_tests(ast.parse(path.read_text())) == []
+
+
+def module_name(path):
+    """``kmgroups.a.b`` for ``src/kmgroups/a/b.py``, the package for
+    ``__init__.py``."""
+    parts = path.relative_to(SRC.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def public_routines(tree):
+    """(qualified name, node, parameters) of each public top-level function
+    and each public method of a top-level class; a method's parameters
+    leave out its first, ``self`` or ``cls``."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        methods = node.body if isinstance(node, ast.ClassDef) else []
+        for d in [node, *methods]:
+            if isinstance(d, defs) and not d.name.startswith("_"):
+                args = d.args
+                params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+                if d is node:
+                    yield d.name, d, params
+                else:
+                    yield f"{node.name}.{d.name}", d, params[1:]
+
+
+def dotted(node):
+    """Whether ``node`` is a name or a chain of attributes read off one."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name)
+
+
+def forwards(node, params):
+    """Whether ``node`` calls a dotted name on exactly ``params``."""
+    if not (isinstance(node, ast.Call) and dotted(node.func)):
+        return False
+    passed = [*node.args, *(k.value for k in node.keywords)]
+    return all(isinstance(a, ast.Name) for a in passed) and (
+        sorted(a.id for a in passed) == sorted(params))
+
+
+def forwarders(tree):
+    """(line, qualified name) of each public function or method whose one
+    statement, past a docstring and local imports, is ``return g(...)`` on
+    exactly its own parameters, maybe with one ``.attr`` or ``.method()``
+    read off the result."""
+    found = []
+    for name, function, params in public_routines(tree):
+        body = [s for s in function.body
+                if not isinstance(s, (ast.Import, ast.ImportFrom))
+                and not (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))]
+        if len(body) != 1 or not isinstance(body[0], ast.Return):
+            continue
+        value = body[0].value
+        candidates = [value]
+        if isinstance(value, ast.Call) and not value.args and not value.keywords:
+            value = value.func  # g(...).method()
+        if isinstance(value, ast.Attribute):
+            candidates.append(value.value)  # g(...).attr
+        if any(forwards(c, params) for c in candidates):
+            found.append((function.lineno, name))
+    return sorted(found)
+
+
+def test_forwarders_are_found():
+    tree = ast.parse(
+        "def plain(a, b):\n"
+        "    '''Doc.'''\n"
+        "    from m import g\n"
+        "    return g(b, a=a)\n"
+        "def field(x): return f(x).value\n"
+        "def method(x): return f(x).items()\n"
+        "def _private(x): return f(x)\n"
+        "def more(x): return f(x, 1)\n"
+        "def fewer(x, y): return f(x)\n"
+        "def two_fields(x): return f(x).a.b\n"
+        "def method_with_args(x): return f(x).m(x)\n"
+        "def not_a_call(x): return x.value\n"
+        "def two_statements(x):\n"
+        "    y = f(x)\n"
+        "    return y\n"
+        "class K:\n"
+        "    def m(self, x): return self.g.h(x)\n"
+        "    @classmethod\n"
+        "    def c(cls): return cls.make()\n"
+        "    def _p(self, x): return g(x)\n"
+        "    def w(self, x): return g(self, x)\n"
+    )
+    assert forwarders(tree) == [
+        (1, "plain"), (5, "field"), (6, "method"), (17, "K.m"), (19, "K.c"),
+    ]
+
+
+def test_no_public_forwarders():
+    # a public routine that only forwards is a second name for one question;
+    # the perfbench hooks stay, since the tracer times them by name
+    hooks = {(module, path) for module, path, _ in layer_hooks().values()}
+    found = [
+        (str(p.relative_to(SRC)), line, name)
+        for p in sorted(SRC.rglob("*.py"))
+        for line, name in forwarders(ast.parse(p.read_text()))
+        if (module_name(p), name) not in hooks
+    ]
+    assert found == []

@@ -118,16 +118,18 @@ class TestCompare:
 
 class TestEssentialPoset:
     def test_affine_triangle(self):
-        poset = EssentialPoset.build(diagram(AFF2))
+        d = diagram(AFF2)
+        poset = EssentialPoset.build(d)
         assert poset.elements == (frozenset(), frozenset({0, 1, 2}))
         assert poset.hasse == ((0, 1),)
-        assert poset.class_label(frozenset()) == "[W_{}]"
-        assert poset.representative(frozenset()) == "B"
-        assert poset.representative(frozenset({0, 1, 2})) == "G"
-        assert poset.maximum == frozenset({0, 1, 2})
+        assert d.label_set(poset.elements[0]) == "{}"
+        assert d.parabolic_name(poset.elements[0]) == "B"
+        assert d.parabolic_name(poset.elements[-1]) == "G"
+        assert poset.elements[-1] == frozenset({0, 1, 2})
 
     def test_mixed_chain(self):
-        poset = EssentialPoset.build(diagram(MIXED))
+        d = diagram(MIXED)
+        poset = EssentialPoset.build(d)
         assert poset.elements == (
             frozenset(),
             frozenset({0, 1}),
@@ -135,7 +137,7 @@ class TestEssentialPoset:
         )
         # covers only: {} -> {0,1} -> {0,1,2}
         assert poset.hasse == ((0, 1), (1, 2))
-        assert poset.representative(frozenset({0, 1})) == "P_{1,2}"
+        assert d.parabolic_name(poset.elements[1]) == "P_{1,2}"
 
     def test_two_blocks_diamond(self):
         poset = EssentialPoset.build(diagram(TWO_BLOCKS))
@@ -145,7 +147,7 @@ class TestEssentialPoset:
         poset = EssentialPoset.build(diagram(A2))
         assert poset.elements == (frozenset(),)
         assert poset.hasse == ()
-        assert poset.maximum == frozenset()
+        assert poset.elements[-1] == frozenset()
 
 
 def complete(n, c):
