@@ -185,11 +185,16 @@ class CoxeterDiagram(_DiagramFields):
         """Finite-type classification of one connected sub-diagram.
 
         Returns the type record (name, group order, number of positive roots)
-        if the diagram is on the finite list, else None.  The list covers all
-        finite Coxeter diagrams, so arbitrary edge orders (e.g. 5) are decided
-        correctly, not only the crystallographic ones.
+        if the diagram is on the finite list, else None (also when
+        ``component`` is not connected).  The list covers all finite Coxeter
+        diagrams, so arbitrary edge orders (e.g. 5) are decided correctly,
+        not only the crystallographic ones.
         """
-        comp = sorted(component)
+        comps = self.components(component)
+        return self._classify(comps[0]) if len(comps) == 1 else None
+
+    def _classify(self, component: Iterable[int]) -> FiniteTypeInfo | None:
+        comp = sorted(component)  # connected: spherical_type's unchecked core
         n = len(comp)
         if n == 1:
             return FiniteTypeInfo("A1", 2, 1)
@@ -261,7 +266,7 @@ class CoxeterDiagram(_DiagramFields):
     def is_spherical(self, subset: Iterable[int]) -> bool:
         """True iff the standard subgroup generated by ``subset`` is finite."""
         return all(
-            self.spherical_type(c) is not None for c in self.components(subset)
+            self._classify(c) is not None for c in self.components(subset)
         )
 
     def finite_group_order(self, subset: Iterable[int]) -> tuple[int, int]:
@@ -274,7 +279,7 @@ class CoxeterDiagram(_DiagramFields):
         positive = 0
         subset = frozenset(subset)
         for comp in self.components(subset):
-            info = self.spherical_type(comp)
+            info = self._classify(comp)
             if info is None:
                 raise NotSphericalError(subset)
             order *= info.order
@@ -286,7 +291,7 @@ class CoxeterDiagram(_DiagramFields):
         subset = frozenset(subset)
         comps = self.components(subset)
         spherical = frozenset().union(
-            *[c for c in comps if self.spherical_type(c) is not None]
+            *[c for c in comps if self._classify(c) is not None]
         )
         essential = subset - spherical
         return SubsetDecomposition(
@@ -330,6 +335,13 @@ class CoxeterDiagram(_DiagramFields):
                         nxt.append((cand, k))
             level = nxt
         return tuple(found)
+
+    def max_finite_order(self, base: Iterable[int]) -> int:
+        """Largest |W_J| over the spherical J inside ``base`` (1 if empty):
+        by Tits, every finite subgroup of W_base lies in a conjugate of such
+        a W_J, so this caps the order of each torsion element of W_base."""
+        orders = (self.finite_group_order(j)[0] for j in self.spherical_subsets(base))
+        return max(orders, default=1)
 
     @cached_property
     def _spherical_subsets(self) -> tuple[frozenset[int], ...]:

@@ -364,7 +364,7 @@ def find_j_regular(
     subset, _ = normalizer_factors(group.diagram, subset)  # NotEssentialError
     all_roots = positive_real_roots(group, max_height, budget=budget)
     in_subset, _ = split_by_support(all_roots, subset)
-    torsion_bound = group.max_spherical_order
+    torsion_bound = group.diagram.max_finite_order(group.diagram.index_set)
     closure_ball = None  # one ball for every candidate that gets that far
     for w in group.ball(max_len, generators=subset, budget=budget)[1:]:
         if w.order() is not None:

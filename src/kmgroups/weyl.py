@@ -12,8 +12,9 @@ product with one generator is a sparse step: w s_k changes only the columns
 j with a_kj != 0 (col_j <- col_j - a_kj col_k), and s_k w changes only row k.
 The representation is faithful: a nonidentity element has a right descent i
 and therefore sends alpha_i to a negative root, so its matrix is not the
-identity.  Words, lengths and supports are recovered from the matrix alone
-by descent peeling, hence are representation-independent.
+identity.  Words and lengths are recovered from the matrix alone by descent
+peeling, and supports are read off its rows, hence all three are
+representation-independent.
 
 All entries are Python ints; nothing here can overflow.
 """
@@ -160,8 +161,7 @@ class WeylGroup:
                         )
                     ):
                         continue
-                    w = WeylElement(self, self._right_mul_gen(u.rows, k))
-                    w.word = u.word + (k,)
+                    w = WeylElement(self, self._right_mul_gen(u.rows, k), u.word + (k,))
                     nxt.append(w)
                     out.append(w)
                     if len(out) > budget:
@@ -191,27 +191,14 @@ class WeylGroup:
             raise RuntimeError("longest-element climb did not terminate")
         return WeylElement(self, rows)
 
-    @cached_property
-    def max_spherical_order(self) -> int:
-        """Largest order of a finite standard subgroup (1 for rank 0 data).
-
-        Any torsion element lies in a conjugate of some spherical standard
-        subgroup, so its order is at most this bound; that makes
-        :meth:`WeylElement.order` a total decision procedure.
-        """
-        best = 1
-        for subset in self.diagram._spherical_subsets:
-            order, _ = self.diagram.finite_group_order(subset)
-            best = max(best, order)
-        return best
-
 
 class WeylElement:
     """One group element; immutable by convention, equality by matrix."""
 
-    def __init__(self, group: WeylGroup, rows: Matrix):
+    def __init__(self, group: WeylGroup, rows: Matrix, word: tuple[int, ...] | None = None):
         self.group = group
         self.rows = rows
+        self._word = word  # the canonical word, when the builder knows it
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeylElement):
@@ -256,31 +243,24 @@ class WeylElement:
         """Generators i with length(w s_i) < length(w)."""
         return tuple(i for i, col in enumerate(zip(*self.rows)) if root_sign(col) < 0)
 
-    def reduced_word(self, tie_break: str = "smallest") -> tuple[int, ...]:
-        """A reduced word recovered by descent peeling.
+    def reduced_word(self) -> tuple[int, ...]:
+        """The canonical reduced word, recovered by descent peeling.
 
         At each step the image of some simple root is negative (a right
-        descent); that index becomes the last letter and is peeled off.
-        ``tie_break`` picks the ``"smallest"`` or ``"largest"`` descent.
-        Different tie-breaks may give different words but always the same
-        letter set and length.
+        descent); the smallest such index becomes the last letter and is
+        peeled off.
 
         The peel works on the list of columns: taking off s_k replaces each
         column j with a_kj != 0 by col_j - a_kj col_k, so only those columns
         are re-signed and the descent set is kept up to date.  Once no
         descent is left, the columns must be the identity's.
         """
-        if tie_break not in ("smallest", "largest"):
-            raise ValueError(
-                f"tie_break must be 'smallest' or 'largest', not {tie_break!r}"
-            )
-        pick = min if tie_break == "smallest" else max
         neighbours = self.group._neighbours
         cols = [list(col) for col in zip(*self.rows)]
         descents = {k for k, col in enumerate(cols) if root_sign(col) < 0}
         letters = []
         while descents:
-            k = pick(descents)
+            k = min(descents)
             letters.append(k)
             col_k = cols[k]
             for j, a in neighbours[k]:
@@ -294,10 +274,12 @@ class WeylElement:
         letters.reverse()
         return tuple(letters)
 
-    @cached_property
+    @property
     def word(self) -> tuple[int, ...]:
-        """The canonical reduced word (smallest-descent peeling)."""
-        return self.reduced_word("smallest")
+        """The canonical reduced word: carried from a ball, else peeled once."""
+        if self._word is None:
+            self._word = self.reduced_word()
+        return self._word
 
     @cached_property
     def length(self) -> int:
@@ -305,8 +287,11 @@ class WeylElement:
 
     @cached_property
     def support(self) -> frozenset[int]:
-        """Letters occurring in any reduced word (word-independent)."""
-        return frozenset(self.word)
+        """Letters of any reduced word: the i whose row is not e_i.  W_J keeps
+        every row outside J; a right descent j has w(alpha_j) < 0, so row j
+        moves, and w s_j keeps every identity row (induct on the length)."""
+        ident = self.group._identity_rows
+        return frozenset(i for i, row in enumerate(self.rows) if row != ident[i])
 
     def inverse(self) -> "WeylElement":
         return self.group.from_word(reversed(self.word))
@@ -314,8 +299,8 @@ class WeylElement:
     def order(self) -> int | None:
         """The element's order, or None if infinite.
 
-        Powers are tried up to the largest spherical subgroup order, which
-        caps the order of every torsion element.
+        Powers are tried up to ``max_finite_order`` of the element's
+        support, which caps its order if it is torsion.
 
         The scan follows one row of heights instead of matrix powers.  Let
         h_k[j] be the height of w^k(alpha_j), which is the row 1^T M^k for
@@ -340,7 +325,8 @@ class WeylElement:
         cols = tuple(zip(*self.rows))
         ones = [1] * len(cols)
         heights = [sum(col) for col in cols]
-        for k in range(1, self.group.max_spherical_order + 1):
+        cap = self.group.diagram.max_finite_order(self.support)
+        for k in range(1, cap + 1):
             if heights == ones:
                 if not (self**k).is_identity:
                     raise RuntimeError(f"w^{k} has all heights 1 but is not e")

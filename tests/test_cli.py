@@ -359,6 +359,13 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["payload"]["order"] is None
 
+    @pytest.mark.parametrize("n, word, order", [(40, "1", 2), (16, "1,2", 3), (20, "1,2", 3)])
+    def test_order_of_finite_a_word_is_quick(self, n, word, order):
+        # the scan stops at the largest finite W_J inside the element's support
+        proc = run_km("weyl", "word", "-", "--word", word, stdin=finite_a_text(n), timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["payload"]["order"] == order
+
     def test_ends_of_finite_a14_is_quick(self):
         proc = run_km("ends", "-", stdin=finite_a_text(14), timeout=20)
         assert proc.returncode == 0, proc.stderr

@@ -269,6 +269,25 @@ class TestSphericalType:
             rows[a][b] = rows[b][a] = 3
         assert CoxeterDiagram.from_orders(rows).spherical_type(range(6)) is None
 
+    @pytest.mark.parametrize(
+        "n, edges, names",
+        [
+            # a star K_{1,3} on 0-3 and a triangle on 4-6: 6 edges on 7 vertices
+            (7, [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6), (4, 6)], ["D4", None]),
+            # a triangle on 0-2 and an edge on 3-4: 4 edges on 5 vertices
+            (5, [(0, 1), (1, 2), (0, 2), (3, 4)], [None, "A2"]),
+        ],
+    )
+    def test_disconnected_set_has_no_type(self, n, edges, names):
+        # n - 1 edges, no vertex of degree 4: only connectivity rules it out
+        rows = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+        for a, b in edges:
+            rows[a][b] = rows[b][a] = 3
+        d = CoxeterDiagram.from_orders(rows)
+        assert d.spherical_type(range(n)) is None
+        assert not d.is_spherical(range(n))
+        assert [getattr(d.spherical_type(c), "name", None) for c in d.components()] == names
+
     def test_sphericity_agrees_with_enumeration_rank3(self):
         # every GCM on 3 nodes with entries in {0,-1,-2}: finiteness by
         # classification must match finiteness by brute-force enumeration
@@ -305,6 +324,37 @@ class TestFiniteGroupOrder:
     def test_empty_subset(self):
         d = diagram([[2]])
         assert d.finite_group_order(set()) == (1, 0)
+
+
+class TestMaxFiniteOrder:
+    def test_small_cases(self):
+        d = diagram([[2, -2, 0], [-2, 2, -1], [0, -1, 2]])
+        assert d.max_finite_order({0, 1, 2}) == 6  # A2 on {1, 2}
+        assert d.max_finite_order({0, 2}) == 4  # A1 x A1
+        assert d.max_finite_order({0, 1}) == 2
+        assert d.max_finite_order(()) == 1
+        assert diagram(finite_a(4)).max_finite_order(range(4)) == math.factorial(5)
+
+    def test_matches_group_enumeration(self):
+        # the largest W_J over the subsets J of a random base whose principal
+        # minors are all positive, each group counted by breadth-first search
+        rng = random.Random(20261019)
+        sizes = {}
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            rows = oracles.random_gcm(rng, n, density=rng.choice([0.3, 0.6]),
+                                      deepest=rng.choice([1, 1, 2, 3]))
+            base = rng.sample(range(n), rng.randint(0, n))
+            best = 1
+            for j in oracles.all_subsets(base):
+                if j and oracles.finite_type(rows, j):
+                    sub = tuple(tuple(rows[a][b] for b in sorted(j)) for a in sorted(j))
+                    if sub not in sizes:
+                        halted, sizes[sub] = oracles.enumerate_group(sub, cap=10**4)
+                        assert halted, sub
+                    best = max(best, sizes[sub])
+            assert diagram(rows).max_finite_order(base) == best, (rows, base)
+        assert max(sizes.values()) >= 720
 
 
 class TestDecompose:

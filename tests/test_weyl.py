@@ -41,8 +41,8 @@ def affine_a(r):
 
 
 def assert_order_matches_oracle(w):
-    """order() agrees with naive powering under the same default bound."""
-    cap = w.group.max_spherical_order
+    """order() agrees with naive powering up to the whole group's bound."""
+    cap = w.group.diagram.max_finite_order(range(w.group.rank))
     expected = oracles.matrix_order([list(r) for r in w.rows], cap=cap)
     assert w.order() == expected, (w.group.gcm.entries, w.word)
     return expected
@@ -129,13 +129,13 @@ class TestWordsAndDescents:
 
     def test_word_laws_on_balls(self):
         # for every element of a ball: the canonical word reduces correctly,
-        # both tie-breaks agree on length and support, and appending any
-        # generator changes length by exactly 1
+        # peeling by the largest descent gives the same length and support,
+        # and appending any generator changes length by exactly 1
         for rows, radius in [(A2, 6), (AFF1, 6), (AFF2, 4)]:
             W = group(rows)
             for w in W.ball(radius):
                 assert W.from_word(w.word) == w
-                other = w.reduced_word("largest")
+                other = oracles.peel_word(rows, w.rows, pick=max)
                 assert len(other) == w.length
                 assert frozenset(other) == w.support
                 assert W.from_word(other) == w
@@ -232,7 +232,7 @@ class TestBalls:
         W = group(AFF2)
         ball = W.ball(4, generators=[0, 2])
 
-        def no_peeling(self, tie_break="smallest"):
+        def no_peeling(self):
             raise AssertionError("ball element peeled its word")
 
         monkeypatch.setattr(weyl.WeylElement, "reduced_word", no_peeling)
@@ -316,7 +316,7 @@ class TestOrder:
     @pytest.mark.parametrize("r", range(1, 7))
     def test_affine_a_coxeter_element_is_infinite(self, r):
         W = group(affine_a(r))
-        assert W.max_spherical_order == math.factorial(r + 1)
+        assert W.diagram.max_finite_order(range(r + 1)) == math.factorial(r + 1)
         assert assert_order_matches_oracle(W.from_word(range(r + 1))) is None
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -396,11 +396,41 @@ class TestOrder:
         W = group(AFF1)
         assert W.from_word([0, 1]).order() is None
 
-    def test_max_spherical_order(self):
-        assert group(A2).max_spherical_order == 6
-        assert group(AFF1).max_spherical_order == 2
-        assert group(AFF2).max_spherical_order == 6
-        assert group(A3).max_spherical_order == 24
+    def test_max_finite_order(self):
+        for rows, bound in ((A2, 6), (AFF1, 2), (AFF2, 6), (A3, 24)):
+            assert group(rows).diagram.max_finite_order(range(len(rows))) == bound
+
+    def test_order_and_support_do_not_peel(self, monkeypatch):
+        peels = []
+        peel = weyl.WeylElement.reduced_word
+
+        def counting(self):
+            peels.append(1)
+            return peel(self)
+
+        monkeypatch.setattr(weyl.WeylElement, "reduced_word", counting)
+        cases = [(finite_a(40), [0], 2), (finite_a(20), [0, 1], 3),
+                 (AFF2, [0, 1, 2], None), (A3, [], 1), (B2, [0, 1], 4)]
+        for rows, word, order in cases:
+            w = group(rows).from_word(word)
+            assert w.support == frozenset(word)
+            assert w.order() == order
+        assert peels == []
+
+    def test_cap_comes_from_the_support(self, monkeypatch):
+        # a reflection of A_40 scans up to |W_{s}| = 2, not (40 + 1)!
+        bases = []
+        cap = weyl.CoxeterDiagram.max_finite_order
+
+        def recording(self, base):
+            bases.append(frozenset(base))
+            return cap(self, base)
+
+        monkeypatch.setattr(weyl.CoxeterDiagram, "max_finite_order", recording)
+        W = group(finite_a(40))
+        assert W.generator(5).order() == 2
+        assert W.from_word([3, 4, 3, 7]).order() == 2
+        assert bases == [{5}, {3, 4, 7}]
 
 
 class TestStraightness:
@@ -463,8 +493,10 @@ class TestSparseKernel:
                 w = W.from_word(word)
                 assert w.rows == oracles.to_key(oracles.word_matrix(rows, word))
                 assert w.reduced_word() == oracles.peel_word(rows, w.rows), (rows, word)
-                assert w.reduced_word("largest") == oracles.peel_word(
-                    rows, w.rows, pick=max), (rows, word)
+                # the support, read off the rows, is the letter set of each peel
+                largest = oracles.peel_word(rows, w.rows, pick=max)
+                assert len(largest) == w.length, (rows, word)
+                assert w.support == frozenset(w.word) == frozenset(largest), (rows, word)
 
     def test_ball_rows_match_sorted_oracle(self):
         rng = random.Random(13)
@@ -492,16 +524,12 @@ class TestSparseKernel:
         word = [k % n for k in word]
         w = group(rows).from_word(word)
         assert w.rows == oracles.to_key(oracles.word_matrix(rows, word))
-        for tie_break, pick in (("smallest", min), ("largest", max)):
-            peeled = w.reduced_word(tie_break)
-            assert peeled == oracles.peel_word(rows, w.rows, pick=pick)
-            assert group(rows).from_word(peeled) == w
-
-    def test_unknown_tie_break_is_rejected(self):
-        w = group(A3).from_word([0, 1, 2])
-        for bad in ("smalest", "Largest", "", None):
-            with pytest.raises(ValueError, match="'smallest' or 'largest'"):
-                w.reduced_word(bad)
+        peeled = w.reduced_word()
+        assert peeled == oracles.peel_word(rows, w.rows)
+        assert group(rows).from_word(peeled) == w
+        largest = oracles.peel_word(rows, w.rows, pick=max)
+        assert len(largest) == w.length and frozenset(largest) == w.support
+        assert w.support == frozenset(w.word) == frozenset(peeled)
 
     def test_peeling_rechecks_every_touched_column(self):
         W = group(A3)
@@ -516,7 +544,7 @@ class TestSparseKernel:
     def test_no_matrix_products(self, count_products):
         W = group(affine_a(5))
         w = W.from_word([0, 1, 2, 3, 4, 5] * 3)
-        assert w.reduced_word() and w.reduced_word("largest")
+        assert w.reduced_word() and w.support == set(range(6))
         assert len(W.ball(4)) > 1 and len(W.ball(4, generators=[0, 2, 3])) > 1
         assert W.longest_element({1, 2, 3}).length == 6
         assert count_products == []
