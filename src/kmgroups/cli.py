@@ -300,13 +300,14 @@ def _poset(gcm, args):
 def _nerve(gcm, args):
     from .coxeter import coxeter_matrix, nerve_strong_connectivity
 
-    nerve = coxeter_matrix(gcm).nerve()
+    diagram = coxeter_matrix(gcm)
+    nerve = diagram.nerve()
     if args.format == "dot":
         labels = [gcm.label_set(s) for s in nerve.simplices]
         return _dot("nerve_faces", labels, nerve.face_hasse_edges())
     return {}, {
         "simplices": nerve.simplices,
-        "maximal_simplices": nerve.maximal_simplices(),
+        "maximal_simplices": diagram.maximal_spherical_subsets(diagram.index_set),
         "count_by_dimension": {str(d): c for d, c in nerve.by_dimension().items()},
         "strongly_connected": nerve_strong_connectivity(nerve).strongly_connected,
     }

@@ -8,8 +8,9 @@ determined by the products a_ij * a_ji:
 
 This module classifies which subsets of generators span a finite (spherical)
 group, decomposes subsets into spherical / essential / orthogonal parts,
-builds the finite-subset complex (the nerve), and decides the two equivalent
-strong-connectivity criteria used by the ends analysis.
+finds the minimal non-spherical and maximal spherical subsets, builds the
+finite-subset complex (the nerve), and decides the two equivalent
+strong-connectivity criteria of the ends analysis.
 
 Edge orders are Python ints, with ``math.inf`` for the infinite order.
 """
@@ -60,6 +61,10 @@ def graph_components(
     return tuple(out)
 
 
+def _by_size(sets: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
+    return tuple(sorted(sets, key=lambda s: (len(s), sorted(s))))
+
+
 class NotSphericalError(BadInputError):
     """A subset expected to generate a finite group does not."""
 
@@ -79,8 +84,9 @@ class FiniteTypeInfo(NamedTuple):
     positive_roots: int
 
 
-# Fields of the records that cache derived data: a subclass without __slots__
-# keeps the __dict__ cached_property writes into; the tuple gives the values.
+# Fields of the diagram, which caches derived data: a subclass without
+# __slots__ keeps the __dict__ cached_property writes into; the tuple gives
+# the values.
 class _DiagramFields(NamedTuple):
     orders: tuple[tuple[float, ...], ...]
     labels: tuple[str, ...]
@@ -336,12 +342,47 @@ class CoxeterDiagram(_DiagramFields):
             level = nxt
         return tuple(found)
 
+    @cached_property
+    def minimal_non_spherical(self) -> tuple[frozenset[int], ...]:
+        """The non-spherical sets whose proper subsets are all spherical, by
+        size then members.  Each is connected, so it is S + {x} for S a
+        connected spherical set in a non-spherical component and x a
+        defining-graph neighbour of S (drop a non-cut vertex); such a step is
+        connected, so the unchecked ``_classify`` decides it."""
+        neighbours = self._defining_neighbours
+        level = {frozenset([i]) for c in self.components()
+                 if self._classify(c) is None for i in c}
+        minimal = []
+        while level:  # the connected spherical sets of one size
+            steps = {s | {x} for s in level for i in s for x in neighbours[i] - s}
+            level = {t for t in steps if self._classify(t) is not None}
+            minimal += [t for t in steps - level
+                        if all(self.is_spherical(t - {y}) for y in t)]
+        return _by_size(minimal)
+
+    def maximal_spherical_subsets(self, base: Iterable[int]) -> tuple[frozenset[int], ...]:
+        """The maximal spherical subsets of ``base`` (just the empty set when
+        ``base`` is empty), by size then members: the complements in ``base``
+        of the minimal transversals of the minimal non-spherical sets inside
+        it (Eiter and Gottlob, 1995).  Berge's method adds those sets one D at
+        a time: a transversal meeting D stays, and any other t becomes t + {x}
+        for each x in D unless a staying one lies inside.  The transversals
+        form an antichain, so two such extensions never nest."""
+        base = frozenset(base)
+        transversals = [frozenset()]
+        for d in self.minimal_non_spherical:
+            if d <= base:
+                kept = [t for t in transversals if t & d]
+                grown = (t | {x} for t in transversals if not t & d for x in d)
+                transversals = kept + [u for u in grown if not any(k <= u for k in kept)]
+        return _by_size(base - t for t in transversals)
+
     def max_finite_order(self, base: Iterable[int]) -> int:
-        """Largest |W_J| over the spherical J inside ``base`` (1 if empty):
-        by Tits, every finite subgroup of W_base lies in a conjugate of such
-        a W_J, so this caps the order of each torsion element of W_base."""
-        orders = (self.finite_group_order(j)[0] for j in self.spherical_subsets(base))
-        return max(orders, default=1)
+        """Largest |W_J| over the maximal spherical J inside ``base`` (orders
+        grow with J; 1 if empty): by Tits, every finite subgroup of W_base lies
+        in a conjugate of such a W_J, so this caps its torsion orders."""
+        maximal = self.maximal_spherical_subsets(base)
+        return max(self.finite_group_order(j)[0] for j in maximal)
 
     @cached_property
     def _spherical_subsets(self) -> tuple[frozenset[int], ...]:
@@ -375,38 +416,23 @@ class SubsetDecomposition(NamedTuple):
         return self.spherical_part == frozenset()
 
 
-class _NerveFields(NamedTuple):
-    rank: int
-    simplices: tuple[frozenset[int], ...]
-
-
-class Nerve(_NerveFields):
+class Nerve(NamedTuple):
     """All nonempty spherical subsets, ordered by inclusion.
 
     ``simplices`` is sorted by (size, members) and is closed downwards.
     """
 
-    @cached_property
-    def _members(self) -> frozenset[frozenset[int]]:
-        return frozenset(self.simplices)
+    rank: int
+    simplices: tuple[frozenset[int], ...]
 
     def __contains__(self, subset: Iterable[int]) -> bool:
-        return frozenset(subset) in self._members
+        return frozenset(subset) in self.simplices
 
     def by_dimension(self) -> dict[int, int]:
         counts: dict[int, int] = {}
         for s in self.simplices:
             counts[len(s) - 1] = counts.get(len(s) - 1, 0) + 1
         return counts
-
-    def maximal_simplices(self) -> tuple[frozenset[int], ...]:
-        # closed downwards: s is maximal iff no one-vertex extension is a simplex
-        members = self._members
-        return tuple(
-            s
-            for s in self.simplices
-            if not any(i not in s and s | {i} in members for i in range(self.rank))
-        )
 
     def face_hasse_edges(self) -> tuple[tuple[int, int], ...]:
         """Covering pairs (face index, simplex index) in the face order."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterable
-from functools import cache
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import DEFAULT_BUDGET, BadInputError
@@ -103,9 +102,7 @@ class EssentialPoset(NamedTuple):
         minimal non-spherical subset of it (connected) is essential with a:
         so D is minimal non-spherical.  Conversely a + D is essential, and for
         D' a proper subset of D, a + D' has the spherical components of D'.
-        A minimal non-spherical set is connected, so it is S + {x} for a
-        connected spherical S in a non-spherical component and a neighbour x
-        (drop a non-cut vertex).  Elements sort by (size, members).
+        Elements sort by (size, members).
 
         >>> from kmgroups import GeneralizedCartanMatrix, coxeter_matrix
         >>> rows = [[2, -2, -2], [-2, 2, -2], [-2, -2, 2]]
@@ -116,42 +113,17 @@ class EssentialPoset(NamedTuple):
         >>> poset.hasse
         ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4))
         """
-        neighbours = [0] * diagram.rank
-        for i, j in diagram.edges():
-            neighbours[i] |= 1 << j
-            neighbours[j] |= 1 << i
+        neighbours = [sum(1 << j for j in near) for near in diagram._defining_neighbours]
+        minimal = [sum(1 << i for i in d) for d in diagram.minimal_non_spherical]
 
         def members(mask):
             return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
-        spherical = cache(lambda mask: diagram.is_spherical(members(mask)))
-
-        def near(mask):  # mask with its defining-graph neighbours
-            for i in members(mask):
-                mask |= neighbours[i]
-            return mask
-
-        # grow connected spherical sets; a one-vertex step out of one that is
-        # not spherical is minimal non-spherical when every face is spherical
-        level = [1 << i for c in diagram.components()
-                 if diagram.spherical_type(c) is None for i in c]
-        seen, minimal = set(level), []
-        while level:
-            grown = []
-            for s in level:
-                for x in members(near(s) & ~s):
-                    t = s | 1 << x
-                    if t in seen:
-                        continue
-                    seen.add(t)
-                    if spherical(t):
-                        grown.append(t)
-                    elif all(spherical(t & ~(1 << y)) for y in members(t)):
-                        minimal.append(t)
-            level = grown
         order, reached, pairs = [0], {0}, []
         for a in order:  # breadth first: the list grows while it is read
-            closed = near(a)
+            closed = a  # with its defining-graph neighbours
+            for i in members(a):
+                closed |= neighbours[i]
             for b in ([a | 1 << x for x in members(closed & ~a)]
                       + [a | d for d in minimal if not d & closed]):
                 pairs.append((a, b))

@@ -415,6 +415,14 @@ def bitmask_covers(sets):
     return covers
 
 
+def max_finite_order(diagram, base):
+    """Largest |W_J| over every spherical J inside ``base`` (1 if none), by
+    classifying each one; ``diagram`` needs ``spherical_subsets`` and
+    ``finite_group_order``."""
+    orders = (diagram.finite_group_order(j)[0] for j in diagram.spherical_subsets(base))
+    return max(orders, default=1)
+
+
 def minimal_non_spherical(diagram):
     """The non-spherical subsets whose proper subsets are all spherical, by
     brute force over every subset; ``diagram`` needs ``rank`` and

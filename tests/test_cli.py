@@ -47,6 +47,16 @@ def finite_a_text(n):
     )
 
 
+def affine_a_text(n):
+    """Plain-rows text of the Cartan matrix of affine type A of rank n."""
+    return "".join(
+        " ".join("2" if i == j else "-1" if (i - j) % n in (1, n - 1) else "0"
+                 for j in range(n))
+        + "\n"
+        for i in range(n)
+    )
+
+
 class TestInputParsing:
     def test_json_object(self):
         g = parse_gcm_text('{"matrix": [[2, -1], [-1, 2]], "labels": ["x", "y"]}')
@@ -348,14 +358,8 @@ class TestExitCodes:
 
     def test_order_of_affine_a8_coxeter_element_is_quick(self):
         # rank 9, so the order scan runs to the bound 9! = 362,880
-        n = 9
-        text = "".join(
-            " ".join("2" if i == j else "-1" if (i - j) % n in (1, n - 1) else "0"
-                     for j in range(n)) + "\n"
-            for i in range(n)
-        )
         proc = run_km("weyl", "word", "-", "--word", "1,2,3,4,5,6,7,8,9",
-                      stdin=text, timeout=20)
+                      stdin=affine_a_text(9), timeout=20)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["payload"]["order"] is None
 
@@ -365,6 +369,23 @@ class TestExitCodes:
         proc = run_km("weyl", "word", "-", "--word", word, stdin=finite_a_text(n), timeout=20)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["payload"]["order"] == order
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_order_of_finite_a_coxeter_word_is_quick(self, n):
+        # the cap is read off the one maximal spherical set, the whole of A_n
+        word = ",".join(map(str, range(1, n + 1)))
+        proc = run_km("weyl", "word", "-", "--word", word, stdin=finite_a_text(n), timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["payload"]["order"] == n + 1
+
+    @pytest.mark.parametrize("n", [17, 30, 40])
+    def test_jregular_on_every_generator_of_affine_a_is_quick(self, n):
+        # the torsion bound is read off the n maximal spherical sets
+        everything = ",".join(map(str, range(1, n + 1)))
+        proc = run_km("jregular", "-", "--set", everything, "--max-len", "1", "--n", "2",
+                      "--max-height", "1", "--depth", "1", stdin=affine_a_text(n), timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["payload"]["found"] is False
 
     def test_ends_of_finite_a14_is_quick(self):
         proc = run_km("ends", "-", stdin=finite_a_text(14), timeout=20)

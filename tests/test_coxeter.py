@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -396,7 +397,7 @@ class TestNerve:
             [0], [1], [2], [0, 1], [0, 2], [1, 2],
         ]
         assert nerve.by_dimension() == {0: 3, 1: 3}
-        assert [sorted(s) for s in nerve.maximal_simplices()] == [
+        assert [sorted(s) for s in d.maximal_spherical_subsets(range(3))] == [
             [0, 1], [0, 2], [1, 2],
         ]
         assert {0, 1, 2} not in nerve
@@ -526,7 +527,57 @@ class TestMaximalSimplices:
             for _ in range(60)
         ]
         for rows in matrices:
-            nerve = diagram(rows).nerve()
-            assert list(nerve.maximal_simplices()) == oracles.maximal_sets(
-                nerve.simplices
+            d = diagram(rows)
+            assert list(d.maximal_spherical_subsets(d.index_set)) == oracles.maximal_sets(
+                d.nerve().simplices
             ), rows
+
+
+class TestMinimalNonSpherical:
+    def test_matches_brute_force(self, catalog_gcms):
+        for rows in subset_sweep(catalog_gcms):
+            d = diagram(rows)
+            assert list(d.minimal_non_spherical) == oracles.minimal_non_spherical(d), rows
+
+
+def cycle(n):
+    """Rows of the Cartan matrix of affine type A of rank n (a cycle)."""
+    return [[2 if i == j else -1 if (i - j) % n in (1, n - 1) else 0 for j in range(n)]
+            for i in range(n)]
+
+
+class TestMaximalSphericalSubsets:
+    def test_matches_the_enumerating_oracles(self, catalog_gcms):
+        # the empty base has one maximal spherical subset, the empty set
+        rng = random.Random(20261023)
+        for rows in subset_sweep(catalog_gcms):
+            d = diagram(rows)
+            bases = [range(d.rank), []] + [
+                rng.sample(range(d.rank), rng.randint(0, d.rank)) for _ in range(3)
+            ]
+            for base in bases:
+                expected = oracles.maximal_sets([frozenset(), *d.spherical_subsets(base)])
+                assert list(d.maximal_spherical_subsets(base)) == expected, (rows, base)
+                assert d.max_finite_order(base) == oracles.max_finite_order(d, base)
+
+    def test_large_families_are_quick(self):
+        # antichains of 4,096 and 16,384 maximal sets, 780 minimal sets, and
+        # a rank-60 cycle, all in-process
+        start = time.perf_counter()
+        for k in (12, 14):  # k disjoint infinite pairs
+            d = diagram(oracles.direct_sum(*[[[2, -2], [-2, 2]]] * k))
+            assert len(d.minimal_non_spherical) == k
+            maximal = d.maximal_spherical_subsets(range(2 * k))
+            assert len(maximal) == 2**k and {len(s) for s in maximal} == {k}
+            assert d.max_finite_order(range(0, 2 * k, 2)) == 2**k
+        complete = diagram([[2 if i == j else -2 for j in range(40)] for i in range(40)])
+        assert len(complete.minimal_non_spherical) == 780
+        assert complete.maximal_spherical_subsets(range(40)) == tuple(
+            frozenset([i]) for i in range(40)
+        )
+        assert complete.max_finite_order(range(40)) == 2
+        ring = diagram(cycle(60))
+        assert ring.minimal_non_spherical == (frozenset(range(60)),)
+        assert len(ring.maximal_spherical_subsets(range(60))) == 60
+        assert ring.max_finite_order(range(60)) == math.factorial(60)
+        assert time.perf_counter() - start < 2.0

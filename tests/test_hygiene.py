@@ -447,3 +447,74 @@ def test_no_public_forwarders():
         if (module_name(p), name) not in hooks
     ]
     assert found == []
+
+
+def called_name(call):
+    """The name a call reads, as a plain name or an attribute, else None."""
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def callers(tree, callee):
+    """(line, function) of each call of ``callee``, as a name or an
+    attribute, with the innermost function around it (None at module level)."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and called_name(child) == callee:
+                found.append((child.lineno, function))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else function)
+
+    visit(tree, None)
+    return sorted(found)
+
+
+def test_callers_are_found():
+    tree = ast.parse(
+        "x = spherical_subsets(b)\n"
+        "def f(d):\n"
+        "    def g():\n"
+        "        return d.spherical_subsets(b)\n"
+        "    return d.spherical_subsets, g()\n"
+        "class K:\n"
+        "    def m(self): return self.spherical_subsets(b)\n"
+        "    def _spherical_subsets(self): return other(b)\n"
+    )
+    assert callers(tree, "spherical_subsets") == [(1, None), (4, "g"), (7, "m")]
+
+
+def test_one_route_lists_every_spherical_set():
+    # only the two outputs that list every spherical set enumerate them; the
+    # structural questions read the minimal and maximal sets
+    found = [
+        (str(p.relative_to(SRC)), line, name)
+        for p in sorted(SRC.rglob("*.py"))
+        for line, name in callers(ast.parse(p.read_text()), "spherical_subsets")
+    ]
+    names = {name for *_, name in found}
+    assert names == {"_spherical_subsets", "locally_normal_report"}, found
+
+
+def test_torsion_cap_and_poset_enumerate_no_spherical_sets(monkeypatch, catalog_gcms):
+    from kmgroups import GeneralizedCartanMatrix, coxeter_matrix
+    from kmgroups.coxeter import CoxeterDiagram
+    from kmgroups.parabolics import EssentialPoset
+
+    calls = []
+    enumerate_all = CoxeterDiagram.spherical_subsets
+
+    def counting(self, base):
+        calls.append(base)
+        return enumerate_all(self, base)
+
+    monkeypatch.setattr(CoxeterDiagram, "spherical_subsets", counting)
+    complete = GeneralizedCartanMatrix.from_rows(
+        [[2 if i == j else -2 for j in range(6)] for i in range(6)])
+    for gcm in [*catalog_gcms.values(), complete]:
+        diagram = coxeter_matrix(gcm)
+        diagram.max_finite_order(diagram.index_set)
+        EssentialPoset.build(diagram)
+    assert calls == []
+    coxeter_matrix(complete).nerve()  # the stub does see the nerve's call
+    assert calls == [range(6)]
