@@ -21,11 +21,13 @@ closed the pipe early).  Integers on the command line, and the entries of
 plain rows after an optional minus, are ASCII digits only; sets and words
 are 1-based comma-separated indices, as on the wire.
 
-Each command is a row of ``COMMANDS``; ``main`` builds every envelope.
-A process builds the parser of its own command only, and handlers import
-the engine modules they run, so start-up loads only ``gcm`` (and
-``_intmat``); ``coxeter``, ``weyl``, ``roots``, ``parabolics``,
-``analysis`` and ``catalog`` load with the commands that use them.
+Each command is a row of ``COMMANDS``; ``main`` builds every envelope and
+returns the exit code, and ``run``, the `km` entry point, ends the process
+with it.  A process builds the parser of its own command only, and
+handlers import the engine modules they run, so start-up loads only
+``gcm`` (and ``_intmat``); ``coxeter``, ``weyl``, ``roots``,
+``parabolics``, ``analysis`` and ``catalog`` load with the commands that
+use them.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from collections.abc import Callable, Iterable, Sequence
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _quote
 from operator import mul
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
 from . import DEFAULT_BUDGET, BadInputError, BudgetExceededError, __version__
 from .gcm import GcmValidationError, GeneralizedCartanMatrix, classify, scalars
@@ -659,5 +661,25 @@ def main(argv: Sequence[str] | None = None) -> int:
     return 0
 
 
+def run() -> NoReturn:
+    """The `km` process: ``main``, then exit without interpreter teardown.
+
+    ``main`` has flushed stdout (or pointed it at devnull), so once stderr
+    is flushed nothing is left to write, and ``os._exit`` skips the module
+    teardown and final collection.  A profiler or tracer reports at exit,
+    so under one the process takes the normal ``sys.exit``.
+    """
+    code = main()
+    monitoring = getattr(sys, "monitoring", None)  # cProfile uses it from 3.12 on
+    if (sys.getprofile() is not None or sys.gettrace() is not None
+            or monitoring is not None and any(map(monitoring.get_tool, range(6)))):
+        sys.exit(code)
+    try:
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):  # no, a broken or a closed stderr
+        pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

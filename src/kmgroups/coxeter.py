@@ -211,20 +211,14 @@ class CoxeterDiagram(_DiagramFields):
             m = int(m)
             name = {3: "A2", 4: "B2", 6: "G2"}.get(m, f"I2({m})")
             return FiniteTypeInfo(name, 2 * m, m)
-        edges = [
-            (i, j)
-            for a, i in enumerate(comp)
-            for j in comp[a + 1 :]
-            if self.orders[i][j] >= 3
-        ]
+        members = frozenset(comp)
+        adjacent = {i: self._defining_neighbours[i] & members for i in comp}
+        edges = [(i, j) for i in comp for j in adjacent[i] if i < j]
         if any(self.orders[i][j] == INFINITE for i, j in edges):
             return None
         if len(edges) != n - 1:
             return None  # connected with a cycle
-        degree = {i: 0 for i in comp}
-        for i, j in edges:
-            degree[i] += 1
-            degree[j] += 1
+        degree = {i: len(adjacent[i]) for i in comp}
         if max(degree.values()) > 3:
             return None
         heavy = [(i, j) for i, j in edges if self.orders[i][j] > 3]

@@ -617,16 +617,18 @@ class TestDotOutput:
         assert line in capsys.readouterr().out.splitlines()
 
 
+@pytest.fixture(params=["buffered", "unbuffered"])
+def env(request):
+    """The environment of a `km` process, with or without PYTHONUNBUFFERED."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if request.param == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 class TestUnwritableStdout:
     """A stdout that cannot take the envelope exits 4 with one message,
     whether or not Python buffers it."""
-
-    @pytest.fixture(params=["buffered", "unbuffered"])
-    def env(self, request):
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        if request.param == "unbuffered":
-            env["PYTHONUNBUFFERED"] = "1"
-        return env
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("command", ["classify", "poset"])
@@ -659,6 +661,49 @@ class TestUnwritableStdout:
         assert proc.wait(timeout=60) == 4
         assert head == b'{\n  "comma'
         assert err == b"error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+class TestProcessExit:
+    """``run`` ends a `km` process with ``os._exit`` once ``main`` has
+    flushed: a fresh process writes what ``main`` writes, and no teardown
+    runs after it unless a profiler or tracer waits for one."""
+
+    def test_piped_output_matches_main(self, env, tmp_path, capsys):
+        # about 0.5 MB of poset, far more than a pipe holds
+        rows = [[2 if i == j else -2 for j in range(10)] for i in range(10)]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"matrix": rows}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "kmgroups.cli", "poset", str(path)],
+            stdout=subprocess.PIPE, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert len(proc.stdout) > 400_000
+        assert cli.main(["poset", str(path)]) == 0
+        assert proc.stdout == capsys.readouterr().out.encode()
+
+    def test_exit_handlers_do_not_run(self, catalog_paths):
+        script = (
+            "import atexit, runpy, sys\n"
+            "atexit.register(lambda: sys.stderr.write('teardown ran\\n'))\n"
+            "runpy.run_module('kmgroups.cli', run_name='__main__')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "classify", catalog_paths["mixed_rank3"]],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == (GOLDEN_DIR / "classify_mixed_rank3.json").read_text()
+
+    def test_a_profiler_still_reports(self, catalog_paths):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cProfile", "-m", "kmgroups.cli",
+             "classify", catalog_paths["affine_a2"]],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("{\n")
+        assert " function calls " in proc.stdout
 
 
 def _parse(parser, argv):

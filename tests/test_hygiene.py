@@ -518,3 +518,38 @@ def test_torsion_cap_and_poset_enumerate_no_spherical_sets(monkeypatch, catalog_
     assert calls == []
     coxeter_matrix(complete).nerve()  # the stub does see the nerve's call
     assert calls == [range(6)]
+
+
+def process_exits(tree):
+    """(line, function, callee) of each call of ``_exit`` or ``exit``, as a
+    name or an attribute (``os._exit``, ``sys.exit``)."""
+    return sorted((line, function, callee) for callee in ("_exit", "exit")
+                  for line, function in callers(tree, callee))
+
+
+def test_process_exits_are_found():
+    tree = ast.parse(
+        "import os, sys\n"
+        "def run():\n"
+        "    os._exit(main())\n"
+        "def f():\n"
+        "    sys.exit(1)\n"
+        "    def g(): return _exit(2)\n"
+        "exit()\n"
+        "f.__exit__()\n"
+    )
+    assert process_exits(tree) == [
+        (3, "run", "_exit"), (5, "f", "exit"), (6, "g", "_exit"), (7, None, "exit"),
+    ]
+
+
+def test_only_the_entry_point_ends_the_process():
+    # os._exit skips the teardown, so only ``cli.run`` may call it, after
+    # ``main`` has flushed; the engine returns or raises and never exits
+    found = [
+        (str(p.relative_to(SRC)), function, callee)
+        for p in sorted(SRC.rglob("*.py"))
+        for _, function, callee in process_exits(ast.parse(p.read_text()))
+    ]
+    assert [f for f in found if f[2] == "_exit"] == [("cli.py", "run", "_exit")], found
+    assert all(module == "cli.py" for module, *_ in found), found
