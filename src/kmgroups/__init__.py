@@ -60,11 +60,10 @@ _EXPORTS = {
         "reflection_of", "split_by_support",
     ),
     "parabolics": (
-        "ClosureCertificate", "Comparison", "ComponentNotSphericalError",
-        "ConjugacyWitness", "DeodharMove", "EssentialPoset", "JRegularCertificate",
-        "MoveVerificationError", "NotEssentialError", "compare_commensurability",
-        "deodhar_move", "essential_subsets", "find_j_regular", "normalizer_factors",
-        "parabolic_closure_search", "standard_conjugacy",
+        "ClosureCertificate", "ComponentNotSphericalError", "ConjugacyWitness",
+        "DeodharMove", "EssentialPoset", "JRegularCertificate", "MoveVerificationError",
+        "NotEssentialError", "deodhar_move", "essential_subsets", "find_j_regular",
+        "normalizer_factors", "parabolic_closure_search", "standard_conjugacy",
     ),
     "analysis": (
         "CriterionFailure", "EndsVerdict", "IndecomposabilityVerdict",

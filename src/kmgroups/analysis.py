@@ -222,32 +222,29 @@ _OPEN_SEMANTICS = (
 )
 
 
+# the classes of B (J empty) and of G (J every generator)
+_OPEN_DESCRIPTIONS = {
+    "B": "compact open subgroups",
+    "G": "open subgroups of finite index in G",
+}
+
+
 def open_subgroup_report(gcm: GeneralizedCartanMatrix) -> OpenSubgroupReport:
     from .parabolics import EssentialPoset
 
     diagram = coxeter_matrix(gcm)
     poset = EssentialPoset.build(diagram)
-    full = frozenset(range(diagram.rank))
-    classes = []
-    for subset in poset.elements:
-        representative = diagram.parabolic_name(subset)
-        if not subset:
-            description = "compact open subgroups"
-        elif subset == full:
-            description = "open subgroups of finite index in G"
-        else:
-            description = (
-                "open subgroups commensurable with a conjugate of "
-                + representative
-            )
-        classes.append(
-            OpenSubgroupClass(
-                subset=subset,
-                class_label=f"[W_{diagram.label_set(subset)}]",
-                representative=representative,
-                description=description,
-            )
-        )
+    subsets = poset.elements
+    labels = list(map(diagram.label_set, subsets))
+    names = list(map(diagram.parabolic_name, subsets, labels))
+    classes = map(
+        OpenSubgroupClass,
+        subsets,
+        [f"[W_{label}]" for label in labels],
+        names,
+        [_OPEN_DESCRIPTIONS.get(name)
+         or "open subgroups commensurable with a conjugate of " + name for name in names],
+    )
     return OpenSubgroupReport(
         poset=poset, classes=tuple(classes), semantics=_OPEN_SEMANTICS
     )
@@ -299,12 +296,16 @@ def locally_normal_report(gcm: GeneralizedCartanMatrix) -> StructureReport:
     compact_or_open = True
     for subset in essential_subsets(diagram)[1:]:
         perp = diagram.perp(subset)
-        compact_or_open = compact_or_open and diagram.is_spherical(perp)
-        for extra in (frozenset(), *diagram.spherical_subsets(perp)):
-            union = subset | extra
-            name = diagram.parabolic_name(union)
-            j_name = diagram.label_set(subset)
+        j_name = perp_closure = diagram.label_set(subset)
+        extras = ()
+        if perp:  # else W_perp is trivial, and J' is only the empty set
+            compact_or_open = compact_or_open and diagram.is_spherical(perp)
             perp_closure = diagram.label_set(subset | perp)
+            extras = diagram.spherical_subsets(perp)
+        for extra in (frozenset(), *extras):
+            union = subset | extra
+            name = diagram.parabolic_name(
+                union, diagram.label_set(union) if extra else j_name)
             records.append(
                 SandwichRecord(
                     essential=subset,

@@ -38,9 +38,9 @@ import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Sequence
-from itertools import accumulate
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii as _quote
-from operator import mul
+from operator import attrgetter, itemgetter, mul
 from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
 from . import DEFAULT_BUDGET, BadInputError, BudgetExceededError, __version__
@@ -137,9 +137,13 @@ def _word_element(gcm: GeneralizedCartanMatrix, args) -> tuple[list[int], WeylEl
 # ---------------------------------------------------------------- output
 
 
-# record class -> its fields in sorted order, each with its quoted key text
-_RECORD_KEYS: dict[type, tuple[tuple[str, str], ...]] = {}
+# record class -> a getter for each field, in sorted order, and the quoted
+# key text of each; any other class written so far -> None
+_RECORD_KEYS: dict[type, tuple[list[Callable], list[str]] | None] = {}
 _INT_RUN = {int}
+_RUNS = {list, tuple}
+_STR_RUN = {str}
+_SET_RUN = {frozenset}
 
 
 def _emit(value, pad: str) -> str:
@@ -152,8 +156,10 @@ def _emit(value, pad: str) -> str:
     and dict keys must be strings.  Integers are never shifted, so
     coordinates, matrix rows, counts and the input words echoed as the user
     gave them pass through unchanged.  One walk writes the text: no JSON
-    tree is built, and a run of plain ints (a set, a Hasse pair, a matrix
-    row) is one join.
+    tree is built, a run of plain ints (a set) is one join, and a list of
+    equal int runs (Hasse pairs, matrix rows), of records of one class
+    (sandwiches) or of dicts with one key order (poset classes, roots)
+    fills one template in one step.
     """
     kind = type(value)
     if kind is str:
@@ -163,11 +169,22 @@ def _emit(value, pad: str) -> str:
     if kind is frozenset:
         items = map(str, sorted([i + 1 for i in value]))
     elif kind is list or kind is tuple:
-        if {*map(type, value)} == _INT_RUN:
+        kinds = {*map(type, value)}
+        if kinds == _INT_RUN:
             items = map(str, value)
+        elif (kinds <= _RUNS and len({*map(len, value)}) == 1 and value[0]
+              and {*map(type, chain.from_iterable(value))} == _INT_RUN):
+            run = _block("[", ["%d"] * len(value[0]), pad + "  ", "]")
+            return _block("[", [run] * len(value), pad, "]") % tuple(chain.from_iterable(value))
+        elif len(kinds) == 1 and (keys := _shared_keys(value, *kinds)) is not None:
+            getters, heads = keys
+            inner, deeper = pad + "  ", pad + "    "
+            record = _block("{", [k.replace("%", "%%") + "%s" for k in heads], inner, "}")
+            columns = [_texts(list(map(get, value)), deeper) for get in getters]
+            return _block("[", [record] * len(value), pad, "]") % tuple(
+                chain.from_iterable(zip(*columns)))
         else:
-            inner = pad + "  "
-            items = [_emit(v, inner) for v in value]
+            items = _texts(value, pad + "  ")
     elif kind is dict:
         inner = pad + "  "
         members = [f"{_quote(k)}: {_emit(value[k], inner)}" for k in sorted(value)]
@@ -177,14 +194,11 @@ def _emit(value, pad: str) -> str:
     elif kind is bool:
         return "true" if value else "false"
     else:
-        keys = _RECORD_KEYS.get(kind)
-        if keys is None and hasattr(kind, "_fields"):
-            keys = _RECORD_KEYS[kind] = tuple(
-                (f, _quote(f) + ": ") for f in sorted(kind._fields)
-            )
+        # a class seen before costs no call: a Weyl element in each root
+        keys = _RECORD_KEYS[kind] if kind in _RECORD_KEYS else _record_keys(kind)
         if keys is not None:
             inner = pad + "  "
-            members = [k + _emit(getattr(value, f), inner) for f, k in keys]
+            members = [k + _emit(get(value), inner) for get, k in zip(*keys)]
             return _block("{", members, pad, "}")
         if value == math.inf:
             return "null"
@@ -194,6 +208,44 @@ def _emit(value, pad: str) -> str:
             raise TypeError(f"no wire form for {kind.__name__}")
         items = [str(k + 1) for k in value.word]
     return _block("[", items, pad, "]")
+
+
+def _record_keys(kind: type) -> tuple[list[Callable], list[str]] | None:
+    """The field getters and key texts of a record class, None for any
+    other class; both are kept in ``_RECORD_KEYS``."""
+    if kind not in _RECORD_KEYS:
+        keys = None
+        if hasattr(kind, "_fields"):
+            fields = sorted(kind._fields)
+            keys = (list(map(attrgetter, fields)), [_quote(f) + ": " for f in fields])
+        _RECORD_KEYS[kind] = keys
+    return _RECORD_KEYS[kind]
+
+
+def _shared_keys(value: Sequence, kind: type) -> tuple[list[Callable], list[str]] | None:
+    """The getters and key texts of every item of ``value``, all of class
+    ``kind``: records, or dicts whose keys come in one order; else None."""
+    if kind is not dict:
+        return _record_keys(kind)
+    if len({*map(tuple, value)}) > 1:
+        return None
+    keys = sorted(value[0])
+    return list(map(itemgetter, keys)), [_quote(k) + ": " for k in keys]
+
+
+def _texts(values: Sequence, pad: str) -> list[str]:
+    """The JSON texts of ``values``, each at ``pad``: strings quoted in one
+    step, and index sets each by one expression, the ``_block`` of its
+    1-based members."""
+    kinds = {*map(type, values)}
+    if kinds == _STR_RUN:
+        return list(map(_quote, values))
+    if kinds == _SET_RUN:
+        inner = pad + "  "
+        head, sep, tail = "[\n" + inner, ",\n" + inner, "\n" + pad + "]"
+        return [head + sep.join(map(str, sorted([i + 1 for i in s]))) + tail if s else "[]"
+                for s in values]
+    return [_emit(v, pad) for v in values]
 
 
 def _block(opening: str, items: Iterable[str], pad: str, closing: str) -> str:

@@ -18,8 +18,9 @@ Edge orders are Python ints, with ``math.inf`` for the infinite order.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, reduce
 from collections.abc import Collection, Iterable, Sequence
+from operator import and_
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import BadInputError
@@ -167,14 +168,15 @@ class CoxeterDiagram(_DiagramFields):
 
     label_set = _label_set
 
-    def parabolic_name(self, subset: frozenset[int]) -> str:
+    def parabolic_name(self, subset: frozenset[int], label: str | None = None) -> str:
         """Display name of the standard parabolic subgroup of ``subset``:
-        B (Borel) when empty, G when it is every generator, else P_{...}."""
+        B (Borel) when empty, G when it is every generator, else P_{...},
+        with ``label`` as ``label_set(subset)`` when already written."""
         if not subset:
             return "B"
-        if subset == frozenset(self.index_set):
+        if len(subset) == self.rank:
             return "G"
-        return f"P_{self.label_set(subset)}"
+        return f"P_{self.label_set(subset) if label is None else label}"
 
     @cached_property
     def _defining_neighbours(self) -> tuple[frozenset[int], ...]:
@@ -302,11 +304,15 @@ class CoxeterDiagram(_DiagramFields):
             perp=self.perp(subset),
         )
 
-    def perp(self, subset: Collection[int]) -> frozenset[int]:
+    def perp(self, subset: Iterable[int]) -> frozenset[int]:
         """The generators commuting with every member of ``subset``."""
-        return frozenset(
-            i for i in self.index_set if all(self.orders[i][j] == 2 for j in subset)
-        )
+        mask = reduce(and_, map(self._commuting.__getitem__, subset), (1 << self.rank) - 1)
+        return frozenset(i for i in self.index_set if mask >> i & 1) if mask else frozenset()
+
+    @cached_property
+    def _commuting(self) -> tuple[int, ...]:
+        """For each generator, the mask of the generators it commutes with."""
+        return tuple(sum(1 << j for j, m in enumerate(row) if m == 2) for row in self.orders)
 
     def spherical_subsets(self, base: Iterable[int]) -> tuple[frozenset[int], ...]:
         """The nonempty spherical subsets of ``base``, by size then members.

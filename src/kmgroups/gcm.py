@@ -62,7 +62,7 @@ class ZeroAsymmetryError(GcmValidationError):
 def _label_set(self, subset: Iterable[int]) -> str:
     """``{a,b}``: the labels of ``subset`` in index order.  The ``label_set``
     method of both a matrix and its Coxeter diagram."""
-    return "{" + ",".join(self.labels[i] for i in sorted(subset)) + "}"
+    return "{" + ",".join(map(self.labels.__getitem__, sorted(subset))) + "}"
 
 
 class GeneralizedCartanMatrix(NamedTuple):

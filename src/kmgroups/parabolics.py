@@ -9,8 +9,10 @@ inclusion of essential parts.
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Iterable
+from functools import lru_cache, reduce
+from itertools import chain, repeat
+from operator import or_
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import DEFAULT_BUDGET, BadInputError
@@ -55,33 +57,6 @@ def essential_subsets(diagram: CoxeterDiagram) -> tuple[frozenset[int], ...]:
     return EssentialPoset.build(diagram).elements
 
 
-class Comparison(enum.Enum):
-    LESS = "less"
-    EQUAL = "equal"
-    GREATER = "greater"
-    INCOMPARABLE = "incomparable"
-
-
-def compare_commensurability(
-    diagram: CoxeterDiagram, left: Iterable[int], right: Iterable[int]
-) -> Comparison:
-    """Order of the commensurability classes of two standard parabolics.
-
-    The class of P_J embeds into that of P_K up to finite index exactly when
-    the essential part of J is contained in the essential part of K, so the
-    comparison reduces to set containment of essential parts.
-    """
-    a = diagram.decompose(left).essential_part
-    b = diagram.decompose(right).essential_part
-    if a == b:
-        return Comparison.EQUAL
-    if a <= b:
-        return Comparison.LESS
-    if b <= a:
-        return Comparison.GREATER
-    return Comparison.INCOMPARABLE
-
-
 class EssentialPoset(NamedTuple):
     """Essential subsets ordered by inclusion, with Hasse cover pairs."""
 
@@ -89,6 +64,7 @@ class EssentialPoset(NamedTuple):
     hasse: tuple[tuple[int, int], ...]  # (smaller index, larger index)
 
     @classmethod
+    @lru_cache(maxsize=1)
     def build(cls, diagram: CoxeterDiagram) -> "EssentialPoset":
         """The essential subsets and their Hasse covers, by one breadth-first
         walk along covers from the least element, the empty set.
@@ -104,6 +80,9 @@ class EssentialPoset(NamedTuple):
         D' a proper subset of D, a + D' has the spherical components of D'.
         Elements sort by (size, members).
 
+        The last poset built is kept, keyed by the diagram's value: both
+        reports of `km report` read one walk.
+
         >>> from kmgroups import GeneralizedCartanMatrix, coxeter_matrix
         >>> rows = [[2, -2, -2], [-2, 2, -2], [-2, -2, 2]]
         >>> poset = EssentialPoset.build(
@@ -113,28 +92,41 @@ class EssentialPoset(NamedTuple):
         >>> poset.hasse
         ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4))
         """
-        neighbours = [sum(1 << j for j in near) for near in diagram._defining_neighbours]
-        minimal = [sum(1 << i for i in d) for d in diagram.minimal_non_spherical]
-
-        def members(mask):
-            return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-        order, reached, pairs = [0], {0}, []
-        for a in order:  # breadth first: the list grows while it is read
-            closed = a  # with its defining-graph neighbours
-            for i in members(a):
-                closed |= neighbours[i]
-            for b in ([a | 1 << x for x in members(closed & ~a)]
-                      + [a | d for d in minimal if not d & closed]):
-                pairs.append((a, b))
-                if b not in reached:
-                    reached.add(b)
-                    order.append(b)
-        ranked = sorted((m.bit_count(), members(m), m) for m in order)
-        index = {m: k for k, (_, _, m) in enumerate(ranked)}
+        near = [sum(1 << j for j in js) for js in diagram._defining_neighbours]
+        bits = [1 << x for x in diagram.index_set]
+        # what a cover adds to a, as a mask: that mask with its neighbours,
+        # and its members
+        step = {1 << x: (1 << x | near[x], frozenset([x])) for x in diagram.index_set}
+        minimal = []
+        for d in diagram.minimal_non_spherical:
+            mask = sum(1 << i for i in d)
+            minimal.append(mask)
+            step[mask] = (reduce(or_, (near[i] | 1 << i for i in d)), d)
+        full = (1 << diagram.rank) - 1
+        # by position in the walk: each mask a, a + N(a), the set a and the
+        # masks of its covers
+        order, closure, sets, ups, reached = [0], [0], [frozenset()], [], {0}
+        for a, closed, members in zip(order, closure, sets):  # the lists grow
+            out = closed & ~a
+            found = [a | x for x in bits if x & out]
+            if closed != full:  # else no D is disjoint from a + N(a)
+                found += [a | d for d in minimal if not d & closed]
+            ups.append(found)
+            new = [b for b in found if b not in reached]
+            reached.update(new)
+            for b in new:
+                grown, added = step[b ^ a]
+                order.append(b)
+                closure.append(closed | grown)
+                sets.append(members | added)
+        positions = range(len(order))
+        ranked = [k for *_, k in sorted(zip(map(len, sets), map(sorted, sets), positions))]
+        index = dict(zip(map(order.__getitem__, ranked), positions))  # mask -> element
         return cls(
-            elements=tuple(frozenset(s) for _, s, _ in ranked),
-            hasse=tuple(sorted((index[a], index[b]) for a, b in pairs)),
+            elements=tuple(map(sets.__getitem__, ranked)),
+            hasse=tuple(chain.from_iterable(
+                zip(repeat(r), sorted(map(index.__getitem__, ups[k])))
+                for r, k in enumerate(ranked))),
         )
 
 

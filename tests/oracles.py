@@ -8,6 +8,7 @@ bug in the package cannot silently agree with its own oracle.
 
 from __future__ import annotations
 
+import enum
 import itertools
 import math
 import random
@@ -433,6 +434,84 @@ def minimal_non_spherical(diagram):
         if not diagram.is_spherical(s)
         and all(diagram.is_spherical(s - {i}) for i in s)
     ]
+
+
+class Comparison(enum.Enum):
+    LESS = "less"
+    EQUAL = "equal"
+    GREATER = "greater"
+    INCOMPARABLE = "incomparable"
+
+
+def compare_commensurability(diagram, left, right):
+    """Order of the commensurability classes of two standard parabolics.
+
+    The class of P_J embeds into that of P_K up to finite index exactly when
+    the essential part of J is contained in the essential part of K, so the
+    comparison reduces to set containment of essential parts; a second
+    reading of the essential poset's order.  ``diagram`` needs
+    ``decompose``.
+    """
+    a = diagram.decompose(left).essential_part
+    b = diagram.decompose(right).essential_part
+    if a == b:
+        return Comparison.EQUAL
+    if a <= b:
+        return Comparison.LESS
+    if b <= a:
+        return Comparison.GREATER
+    return Comparison.INCOMPARABLE
+
+
+def parabolic_name(diagram, subset):
+    """B for the empty set, G for every generator, else P_ and the labels."""
+    if not subset:
+        return "B"
+    if subset == frozenset(range(diagram.rank)):
+        return "G"
+    return "P_" + diagram.label_set(subset)
+
+
+def open_subgroup_classes(diagram):
+    """(set, class label, representative, description) of each essential
+    set, in the order of ``essential_scan``; ``diagram`` needs what
+    ``essential_scan`` needs, ``rank`` and ``label_set``."""
+    out = []
+    for s in essential_scan(diagram):
+        name = parabolic_name(diagram, s)
+        if not s:
+            description = "compact open subgroups"
+        elif name == "G":
+            description = "open subgroups of finite index in G"
+        else:
+            description = "open subgroups commensurable with a conjugate of " + name
+        out.append((s, "[W_" + diagram.label_set(s) + "]", name, description))
+    return out
+
+
+def sandwiches(diagram):
+    """The sandwich records of every nonempty essential J and spherical J'
+    inside the perp of J, as (essential, extra, union, parabolic, statement,
+    refined lower bound) tuples, and whether every perp is spherical.
+
+    The perp is taken by its definition, the generators whose order with
+    every member of J is 2, and each J' by testing every subset of it.
+    ``diagram`` needs ``orders``, ``is_spherical`` and what
+    ``open_subgroup_classes`` needs."""
+    records, compact_or_open = [], True
+    for j in essential_scan(diagram)[1:]:
+        perp = frozenset(i for i in range(diagram.rank)
+                         if all(diagram.orders[i][k] == 2 for k in j))
+        compact_or_open = compact_or_open and diagram.is_spherical(perp)
+        extras = [e for e in all_subsets(perp) if diagram.is_spherical(e)]
+        for extra in extras:  # the empty set first
+            name = parabolic_name(diagram, j | extra)
+            records.append((
+                j, extra, j | extra, name,
+                f"some conjugate gHg^-1 satisfies Res({name}) <= gHg^-1 <= {name}",
+                f"L+_{diagram.label_set(j)} U_{diagram.label_set(j | perp)} <= Res({name})",
+            ))
+    return records, compact_or_open
 
 
 # ---------------------------------------------------------------------------

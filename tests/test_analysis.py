@@ -263,3 +263,54 @@ class TestLocallyNormalReport:
         report = locally_normal_report(gcm(A2))
         assert report.sandwiches == ()
         assert report.compact_or_open
+
+
+class TestReportsAgainstOracles:
+    """Both reports against ``oracles.open_subgroup_classes`` and
+    ``oracles.sandwiches``, which scan every subset, take each perp by its
+    definition and write every name from ``label_set``."""
+
+    @staticmethod
+    def assert_matches(rows):
+        from kmgroups import coxeter_matrix
+
+        g = gcm(rows)
+        d = coxeter_matrix(g)
+        assert open_subgroup_report(g).classes == tuple(oracles.open_subgroup_classes(d)), rows
+        records, compact_or_open = oracles.sandwiches(d)
+        report = locally_normal_report(g)
+        assert report.sandwiches == tuple(records), rows
+        assert report.compact_or_open == compact_or_open, rows
+        return report
+
+    def test_subset_sweep(self, catalog_gcms):
+        from test_coxeter import subset_sweep
+
+        padded = 0
+        for rows in subset_sweep(catalog_gcms):
+            report = self.assert_matches(rows)
+            padded += any(r.spherical_extra for r in report.sandwiches)
+        assert padded > 50  # many inputs pad J with a nonempty J'
+
+    def test_sums_of_infinite_blocks(self):
+        rng = random.Random(20261031)
+        sums = [
+            oracles.direct_sum(AFF2, AFF1),
+            oracles.direct_sum(MIXED, A2, AFF1),
+            oracles.direct_sum(AFF1, AFF1, AFF1),
+            oracles.direct_sum(AFF2, [[2]], oracles.random_gcm(rng, 3, 0.8, 3)),
+        ]
+        for rows in sums:
+            perm = list(range(len(rows)))
+            rng.shuffle(perm)
+            assert not self.assert_matches(rows).compact_or_open
+            self.assert_matches(oracles.permuted(rows, perm))
+
+    def test_random_matrices(self):
+        rng = random.Random(20261032)
+        outcomes = set()
+        for _ in range(300):
+            rows = oracles.random_gcm(rng, rng.randint(2, 7),
+                                      density=rng.choice([0.2, 0.4, 0.7]), deepest=3)
+            outcomes.add(self.assert_matches(rows).compact_or_open)
+        assert outcomes == {False, True}

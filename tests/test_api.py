@@ -31,7 +31,7 @@ from kmgroups import (
 from kmgroups.cli import COMMANDS
 
 PUBLIC = [
-    "AFFINE", "BudgetExceededError", "ClosureCertificate", "Comparison",
+    "AFFINE", "BudgetExceededError", "ClosureCertificate",
     "ComponentNotSphericalError", "ConjugacyWitness", "CoxeterDiagram",
     "CriterionFailure", "DEFAULT_BUDGET", "DeodharMove", "DiagonalNotTwoError",
     "EndsVerdict", "EssentialPoset", "FINITE", "FiniteTypeInfo", "GcmScalars",
@@ -42,7 +42,7 @@ PUBLIC = [
     "OpenSubgroupClass", "OpenSubgroupReport", "PositiveOffDiagonalError",
     "RealRoot", "SandwichRecord", "StrongConnectivity", "StructureReport",
     "SubsetDecomposition", "WeylElement", "WeylGroup", "ZeroAsymmetryError",
-    "__version__", "classify", "compare_commensurability", "coxeter_matrix",
+    "__version__", "classify", "coxeter_matrix",
     "deodhar_move", "ends_verdict", "essential_subsets", "find_j_regular",
     "graph_strong_connectivity", "indecomposability_verdict",
     "locally_normal_report", "nerve_strong_connectivity", "normalizer_factors",

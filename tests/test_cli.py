@@ -15,6 +15,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+import oracles
 from conftest import GOLDEN_DIR, km_payload, run_km
 from golden_cases import CASES
 from test_weyl import KERNEL_GCMS, random_word
@@ -615,6 +616,54 @@ class TestDotOutput:
         path.write_text(json.dumps({"matrix": matrix, "labels": ['a"b', "c\\d"]}))
         assert cli.main([command, str(path), "--format", "dot"]) == 0
         assert line in capsys.readouterr().out.splitlines()
+
+
+class TestOnePosetPerDiagram:
+    """`km report` reads the essential poset in both of its reports, and
+    ``EssentialPoset.build`` keeps the last one it walked."""
+
+    @staticmethod
+    def write(tmp_path, name, rows):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"matrix": rows}))
+        return str(path)
+
+    def test_report_walks_the_poset_once(self, tmp_path, monkeypatch, capsys):
+        from kmgroups.coxeter import CoxeterDiagram
+        from kmgroups.parabolics import EssentialPoset
+
+        # each walk reads the minimal non-spherical sets once, and nothing
+        # else in `km report` reads them
+        walks = []
+        minimal = CoxeterDiagram.minimal_non_spherical.func
+
+        def counting(diagram):
+            walks.append(diagram)
+            return minimal(diagram)
+
+        monkeypatch.setattr(CoxeterDiagram, "minimal_non_spherical", property(counting))
+        rows = [[2 if i == j else -2 for j in range(6)] for i in range(6)]
+        path = self.write(tmp_path, "m", rows)
+        EssentialPoset.build.cache_clear()  # an earlier test may have built it
+        for run in range(2):  # the second run finds the poset of the first
+            assert cli.main(["report", path, "--q", "2"]) == 0
+            assert json.loads(capsys.readouterr().out)["payload"]["locally_normal"]
+            assert len(walks) == 1, run
+
+    def test_the_memo_serves_no_stale_poset(self, tmp_path, capsys):
+        complete6 = [[2 if i == j else -2 for j in range(6)] for i in range(6)]
+        a = self.write(tmp_path, "a", complete6)
+        b = self.write(tmp_path, "b", oracles.direct_sum(
+            [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]))
+        fresh = {}
+        for path in (a, b):
+            proc = run_km("report", path, "--q", "2")
+            assert proc.returncode == 0, proc.stderr
+            fresh[path] = proc.stdout
+        assert fresh[a] != fresh[b]
+        for path in (a, b, a):
+            assert cli.main(["report", path, "--q", "2"]) == 0
+            assert capsys.readouterr().out == fresh[path], path
 
 
 @pytest.fixture(params=["buffered", "unbuffered"])

@@ -8,6 +8,7 @@ for byte on arbitrary nested values and on whole envelopes.
 
 import json
 import math
+import random
 from typing import NamedTuple
 
 import pytest
@@ -33,8 +34,9 @@ class Empty(NamedTuple):
     pass
 
 
-# quotes, escapes, control, non-ASCII, astral and lone-surrogate characters
-SPECIAL = st.sampled_from('"\\/\x00\x1f\x7f\n\té€\U0001f600\ud800')
+# quotes, escapes, control, non-ASCII, astral and lone-surrogate characters,
+# and the percent sign of the writer's templates
+SPECIAL = st.sampled_from('"\\/\x00\x1f\x7f\n\té€\U0001f600\ud800%')
 TEXT = st.text(st.one_of(SPECIAL, st.characters()), max_size=8)
 INTS = st.one_of(
     st.integers(), st.integers(min_value=2**64), st.integers(max_value=-(2**64))
@@ -78,8 +80,29 @@ def test_matches_the_standard_encoder(value):
         [None, math.inf, 2**70, -(2**70)],
         {"b": frozenset({3, 0}), "a": (frozenset(),)},
         Unsorted(Empty(), [], {}),
+        ((0, 1), (2**70, -3), (4, 5)),
+        [[1, 2, 3], (4, 5, 6)],
+        [(1,)],
+        [[], []],
+        [(1, 2), (3,)],
+        [(1, 2), (3, True)],
+        [[1, 2], [3, None]],
+        [(1, "%d"), (2, "%s")],
+        [Unsorted("%s", frozenset({1}), 2), Unsorted("a\n", frozenset(), [(1, 2)])],
+        [Unsorted(1, 2, 3), Empty()],
+        [Empty(), Empty()],
+        (Unsorted("b", "a", "%"),),
+        [{"b": 1, "a": frozenset({2})}, {"b": "%s", "a": frozenset()}],
+        [{"b": 1, "a": 2}, {"a": 3, "b": 4}],
+        [{"a": 1}, {"b": 2}, {"a": 3, "b": 4}],
+        [{"%": 1, "%s": "%d"}, {"%": 2, "%s": None}],
+        [{}, {}],
     ],
-    ids=["bools-and-ints", "bool-first", "null-inf-big", "sets", "records"],
+    ids=["bools-and-ints", "bool-first", "null-inf-big", "sets", "records",
+         "pairs", "list-and-tuple-runs", "one-run", "empty-runs", "unequal-runs",
+         "bool-in-run", "none-in-run", "percent-in-run", "records-of-one-class",
+         "records-of-two-classes", "empty-records", "one-record", "dicts-of-one-order",
+         "dicts-of-two-orders", "dicts-of-two-key-sets", "percent-in-keys", "empty-dicts"],
 )
 def test_fixed_values(value):
     assert cli._emit(value, "") == reference(value)
@@ -126,15 +149,28 @@ def affine_e8():
     return rows
 
 
+# mostly infinite bonds, like the random matrices of the parabolic benchmark
+MOSTLY_INFINITE = oracles.random_gcm(random.Random(20261033), 8, density=0.9, deepest=3)
+
 ENVELOPES = [
     ("poset", complete(8, -2), []),
     ("report", complete(8, -2), ["--q", "2"]),
+    ("poset", complete(9, -2), []),
+    ("report", complete(9, -2), ["--q", "4"]),
+    ("poset", complete(8, -3), []),
+    ("report", complete(8, -3), ["--q", "5"]),
+    ("poset", MOSTLY_INFINITE, []),
+    ("report", MOSTLY_INFINITE, ["--q", "2"]),
     ("roots", affine_e8(), ["--max-height", "30"]),
     ("nerve", finite_a(8), []),
 ]
 
 
-@pytest.mark.parametrize("command,rows,options", ENVELOPES, ids=[e[0] for e in ENVELOPES])
+@pytest.mark.parametrize(
+    "command,rows,options", ENVELOPES,
+    ids=["poset", "report", "poset-c2-9", "report-c2-9", "poset-c3-8", "report-c3-8",
+         "poset-random", "report-random", "roots", "nerve"],
+)
 def test_whole_envelopes(command, rows, options, tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"matrix": rows}))

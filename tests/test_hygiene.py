@@ -553,3 +553,72 @@ def test_only_the_entry_point_ends_the_process():
     ]
     assert [f for f in found if f[2] == "_exit"] == [("cli.py", "run", "_exit")], found
     assert all(module == "cli.py" for module, *_ in found), found
+
+
+CACHES = {"cache", "lru_cache"}
+
+
+def unbounded_caches(tree):
+    """(line, name) of each ``functools`` cache that can grow without bound:
+    every ``cache``, and every ``lru_cache`` not called with an integer
+    ``maxsize``, whether imported from ``functools`` or read off it."""
+    names = {  # local name -> the functools name it binds
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+        if alias.name in CACHES
+    }
+    bounded = set()  # the callees called with one integer size
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            if (len(sizes) == 1 and isinstance(sizes[0], ast.Constant)
+                    and type(sizes[0].value) is int):
+                bounded.add(node.func)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in names:
+            name = names[node.id]
+        elif (isinstance(node, ast.Attribute) and node.attr in CACHES
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            name = node.attr
+        else:
+            continue
+        if name == "cache" or node not in bounded:
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_unbounded_caches_are_found():
+    tree = ast.parse(
+        "import functools\n"
+        "from functools import cache, cached_property, lru_cache, lru_cache as lc\n"
+        "@lru_cache(maxsize=1)\n"
+        "def a(): pass\n"
+        "@lc(2)\n"
+        "def b(): pass\n"
+        "@lru_cache\n"
+        "def c(): pass\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def d(): pass\n"
+        "@cache\n"
+        "def e(): pass\n"
+        "f = functools.cache(g)\n"
+        "h = lru_cache()(g)\n"
+        "k = functools.lru_cache(maxsize=True)(g)\n"
+        "m = lc(maxsize=size)(g)\n"
+        "n = functools.lru_cache(8)(cached_property)\n"
+    )
+    assert unbounded_caches(tree) == [
+        (7, "lru_cache"), (9, "lru_cache"), (11, "cache"), (13, "cache"),
+        (14, "lru_cache"), (15, "lru_cache"), (16, "lru_cache"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC))
+)
+def test_every_cache_is_bounded(path):
+    # a cache that outlives its command must not grow with the inputs seen
+    assert unbounded_caches(ast.parse(path.read_text())) == []

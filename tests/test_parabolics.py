@@ -7,8 +7,8 @@ import random
 import pytest
 
 import oracles
+from oracles import Comparison, compare_commensurability
 from kmgroups import (
-    Comparison,
     ComponentNotSphericalError,
     EssentialPoset,
     GeneralizedCartanMatrix,
@@ -16,7 +16,6 @@ from kmgroups import (
     NotEssentialError,
     WeylElement,
     WeylGroup,
-    compare_commensurability,
     coxeter_matrix,
     deodhar_move,
     essential_subsets,
