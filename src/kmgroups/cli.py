@@ -38,9 +38,9 @@ import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Sequence
-from itertools import accumulate, chain
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
-from operator import attrgetter, itemgetter, mul
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
 from . import DEFAULT_BUDGET, BadInputError, BudgetExceededError, __version__
@@ -83,11 +83,6 @@ def parse_gcm_text(text: str) -> GeneralizedCartanMatrix:
         except argparse.ArgumentTypeError as exc:
             raise InputError(f"bad integer row: {line!r}") from exc
     return GeneralizedCartanMatrix.from_rows(rows)
-
-
-def serialize_gcm(gcm: GeneralizedCartanMatrix) -> str:
-    """Canonical JSON text for a matrix; parse/serialize round-trips."""
-    return _emit({"labels": gcm.labels, "matrix": gcm.entries}, "") + "\n"
 
 
 def _read_gcm(path: str) -> GeneralizedCartanMatrix:
@@ -414,14 +409,15 @@ def _weyl_word(gcm, args):
 
 
 def _weyl_straight(gcm, args):
+    from .weyl import _straight
+
     letters, element = _word_element(gcm, args)
-    lengths = [w.length for w in accumulate([element] * args.n, mul)]  # w, w^2, ...
+    lengths = list(element.power_lengths(args.n))  # past DEFAULT_BUDGET: exit 3
     return {"word": letters, "n": args.n}, {
         "word": letters,
         "n": args.n,
         "power_lengths": lengths,
-        # WeylElement.is_straight's predicate, read off the same lengths
-        "is_straight_up_to_n": all(x == n * lengths[0] for n, x in enumerate(lengths, 1)),
+        "is_straight_up_to_n": _straight(lengths),  # WeylElement.is_straight's test
     }
 
 

@@ -97,7 +97,8 @@ class CoxeterDiagram(_DiagramFields):
     """A Coxeter matrix with its two derived graphs.
 
     ``orders[i][j]`` is the order m_ij of s_i s_j (1 on the diagonal,
-    ``math.inf`` for the infinite order).  Two graphs matter:
+    ``math.inf`` for the infinite order); ``coxeter_matrix`` builds it from
+    a GCM, so m_ij is 2, 3, 4, 6 or infinite.  Two graphs matter:
 
     * the defining graph, edge iff m_ij >= 3 (used for components), and
     * the finite-order graph, edge iff m_ij < infinity (used for ends).
@@ -111,31 +112,6 @@ class CoxeterDiagram(_DiagramFields):
     >>> d.is_spherical({0, 1})
     False
     """
-
-    @classmethod
-    def from_orders(
-        cls,
-        rows: Sequence[Sequence[float]],
-        labels: Sequence[str] | None = None,
-    ) -> "CoxeterDiagram":
-        n = len(rows)
-        frozen = tuple(
-            tuple(INFINITE if x == INFINITE else int(x) for x in row) for row in rows
-        )
-        for i, row in enumerate(frozen):
-            if len(row) != n:
-                raise ValueError("order matrix must be square")
-            if row[i] != 1:
-                raise ValueError(f"m_{i}{i} must be 1")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if frozen[i][j] != frozen[j][i]:
-                    raise ValueError(f"order matrix not symmetric at ({i},{j})")
-                if frozen[i][j] != INFINITE and frozen[i][j] < 2:
-                    raise ValueError(f"m_{i}{j} must be >= 2 or infinite")
-        if labels is None:
-            labels = tuple(str(i + 1) for i in range(n))
-        return cls(orders=frozen, labels=tuple(labels))
 
     @property
     def rank(self) -> int:
@@ -194,9 +170,9 @@ class CoxeterDiagram(_DiagramFields):
 
         Returns the type record (name, group order, number of positive roots)
         if the diagram is on the finite list, else None (also when
-        ``component`` is not connected).  The list covers all finite Coxeter
-        diagrams, so arbitrary edge orders (e.g. 5) are decided correctly,
-        not only the crystallographic ones.
+        ``component`` is not connected).  The list is the crystallographic
+        one, A to G: a diagram comes from a GCM, so its bond orders are 2,
+        3, 4, 6 and infinity.
         """
         comps = self.components(component)
         return self._classify(comps[0]) if len(comps) == 1 else None
@@ -210,9 +186,7 @@ class CoxeterDiagram(_DiagramFields):
             m = self.orders[comp[0]][comp[1]]
             if m == INFINITE:
                 return None
-            m = int(m)
-            name = {3: "A2", 4: "B2", 6: "G2"}.get(m, f"I2({m})")
-            return FiniteTypeInfo(name, 2 * m, m)
+            return FiniteTypeInfo({3: "A2", 4: "B2", 6: "G2"}[m], 2 * m, m)
         members = frozenset(comp)
         adjacent = {i: self._defining_neighbours[i] & members for i in comp}
         edges = [(i, j) for i in comp for j in adjacent[i] if i < j]
@@ -250,19 +224,12 @@ class CoxeterDiagram(_DiagramFields):
         if len(heavy) > 1:
             return None
         (i, j), = heavy
-        m = int(self.orders[i][j])
-        terminal = 1 in (degree[i], degree[j])
-        if m == 4:
-            if terminal:
-                return FiniteTypeInfo(f"B{n}", 2**n * math.factorial(n), n * n)
-            if n == 4:
-                return FiniteTypeInfo("F4", 1152, 24)
+        if self.orders[i][j] == 6:  # G2 has two vertices
             return None
-        if m == 5 and terminal:
-            if n == 3:
-                return FiniteTypeInfo("H3", 120, 15)
-            if n == 4:
-                return FiniteTypeInfo("H4", 14400, 60)
+        if 1 in (degree[i], degree[j]):
+            return FiniteTypeInfo(f"B{n}", 2**n * math.factorial(n), n * n)
+        if n == 4:
+            return FiniteTypeInfo("F4", 1152, 24)
         return None
 
     def is_spherical(self, subset: Iterable[int]) -> bool:
@@ -424,9 +391,6 @@ class Nerve(NamedTuple):
 
     rank: int
     simplices: tuple[frozenset[int], ...]
-
-    def __contains__(self, subset: Iterable[int]) -> bool:
-        return frozenset(subset) in self.simplices
 
     def by_dimension(self) -> dict[int, int]:
         counts: dict[int, int] = {}

@@ -174,12 +174,6 @@ class GcmTypeVerdict(NamedTuple):
     types: tuple[str, ...]
     indecomposable: bool
 
-    def type_of(self, index: int) -> str:
-        for comp, typ in zip(self.components, self.types):
-            if index in comp:
-                return typ
-        raise IndexError(index)
-
     @property
     def all_finite(self) -> bool:
         return all(t == FINITE for t in self.types)

@@ -333,7 +333,7 @@ def find_j_regular(
     for w in group.ball(max_len, generators=subset, budget=budget)[1:]:
         if w.order() is not None:
             continue
-        if not w.is_straight(power_bound):
+        if not w.is_straight(power_bound, budget):
             continue
         if closure_ball is None:
             closure_ball = group.ball(depth, generators=subset, budget=budget)

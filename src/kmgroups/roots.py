@@ -52,13 +52,6 @@ class RealRoot(NamedTuple):
     def support(self) -> frozenset[int]:
         return frozenset(i for i, c in enumerate(self.coords) if c != 0)
 
-    @property
-    def is_positive(self) -> bool:
-        try:
-            return root_sign(self.coords) > 0
-        except RuntimeError:  # mixed signs: not a root at all
-            return False
-
     def __repr__(self) -> str:
         return f"RealRoot({self.coords})"
 

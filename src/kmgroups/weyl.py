@@ -22,7 +22,7 @@ All entries are Python ints; nothing here can overflow.
 from __future__ import annotations
 
 from functools import cached_property
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate
 from operator import mul
 
@@ -236,13 +236,6 @@ class WeylElement:
         """Image of a root-lattice vector (simple-root coordinates)."""
         return mat_vec(self.rows, coords)
 
-    def image_of_simple(self, i: int) -> tuple[int, ...]:
-        return tuple(row[i] for row in self.rows)
-
-    def right_descents(self) -> tuple[int, ...]:
-        """Generators i with length(w s_i) < length(w)."""
-        return tuple(i for i, col in enumerate(zip(*self.rows)) if root_sign(col) < 0)
-
     def reduced_word(self) -> tuple[int, ...]:
         """The canonical reduced word, recovered by descent peeling.
 
@@ -334,11 +327,31 @@ class WeylElement:
             heights = [sum(map(mul, heights, col)) for col in cols]
         return None
 
-    def is_straight(self, n_max: int) -> bool:
+    def power_lengths(self, n_max: int, budget: int = DEFAULT_BUDGET) -> Iterator[int]:
+        """The lengths of w, w^2, ..., w^n_max, each power formed when its
+        length is read: one product and one peel a power.
+
+        The n_max powers are charged to the element budget before any
+        product is formed; past it this raises :class:`BudgetExceededError`.
+        """
+        if n_max > budget:
+            raise BudgetExceededError("power steps", budget)
+        powers = accumulate((self for _ in range(n_max)), mul)  # w, w^2, ...
+        return (w.length for w in powers)
+
+    def is_straight(self, n_max: int, budget: int = DEFAULT_BUDGET) -> bool:
         """Whether length(w^n) = n * length(w) for all 2 <= n <= n_max.
 
         A bounded certificate only; it never proves straightness beyond
-        ``n_max``.
+        ``n_max``.  It reads ``power_lengths`` up to the first power that
+        fails.
         """
-        powers = accumulate([self] * n_max, mul)  # w, w^2, ..., one product each
-        return all(w.length == n * self.length for n, w in enumerate(powers, 1))
+        return _straight(self.power_lengths(n_max, budget))
+
+
+def _straight(lengths: Iterable[int]) -> bool:
+    """Whether the lengths l_1, l_2, ... of w, w^2, ... have l_n = n * l_1;
+    it stops at the first that does not."""
+    lengths = iter(lengths)
+    first = next(lengths, 0)
+    return all(x == n * first for n, x in enumerate(lengths, 2))

@@ -22,7 +22,7 @@ from test_weyl import KERNEL_GCMS, random_word
 from kmgroups import (ComponentNotSphericalError, GeneralizedCartanMatrix,
                       NotEssentialError, NotPrimePowerError, NotSphericalError, WeylGroup)
 from kmgroups import cli
-from kmgroups.cli import parse_gcm_text, serialize_gcm
+from kmgroups.cli import _emit, parse_gcm_text
 
 
 @pytest.fixture(scope="session")
@@ -85,7 +85,7 @@ class TestInputParsing:
         g = GeneralizedCartanMatrix.from_rows(
             [[2, -2, 0], [-2, 2, -1], [0, -1, 2]], labels=["a", "b", "c"]
         )
-        assert parse_gcm_text(serialize_gcm(g)) == g
+        assert parse_gcm_text(_emit({"labels": g.labels, "matrix": g.entries}, "")) == g
 
 
 class TestEnvelopes:
@@ -506,6 +506,16 @@ class TestExitCodes:
 
         assert cli.main(self._power_argv(catalog_paths, command, "2")) == 0
         assert json.loads(capsys.readouterr().out)["parameters"]["n"] == 2
+
+    @pytest.mark.parametrize("n", ["1000001", "100000000000000000000"])
+    @pytest.mark.parametrize("command", ["straight", "jregular"])
+    def test_power_bound_past_the_budget_is_exit_3(self, catalog_paths, capsys, command, n):
+        # the powers are charged before any is formed, so no test allocates them
+        from kmgroups import cli
+
+        assert cli.main(self._power_argv(catalog_paths, command, n)) == 3
+        assert capsys.readouterr().err == (
+            "error: budget exceeded: power steps exceeded the element budget of 1000000\n")
 
     @staticmethod
     def _power_argv(catalog_paths, command, n):

@@ -182,6 +182,7 @@ def test_whole_envelopes(command, rows, options, tmp_path):
 
 def test_serialized_matrix_round_trips_through_the_writer():
     g = GeneralizedCartanMatrix.from_rows(complete(3, -2), ['a"b', "c\\d", "é"])
-    text = cli.serialize_gcm(g)
-    assert text == reference({"labels": g.labels, "matrix": g.entries}) + "\n"
+    doc = {"labels": g.labels, "matrix": g.entries}
+    text = cli._emit(doc, "")
+    assert text == reference(doc)
     assert cli.parse_gcm_text(text) == g

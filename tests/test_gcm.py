@@ -203,14 +203,8 @@ class TestClassify:
         verdict = classify(g)
         assert not verdict.indecomposable
         assert verdict.types == (AFFINE, FINITE)
-        assert verdict.type_of(0) == AFFINE
-        assert verdict.type_of(2) == FINITE
+        assert verdict.components == ({0, 1}, {2})
         assert not verdict.all_finite
-
-    def test_type_of_out_of_range(self):
-        verdict = classify(GeneralizedCartanMatrix.from_rows(A2))
-        with pytest.raises(IndexError):
-            verdict.type_of(5)
 
     def test_matches_minor_oracle_exhaustively_rank3(self):
         # every rank-3 GCM whose three bonds (a_ij, a_ji) are any of the

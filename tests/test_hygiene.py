@@ -192,6 +192,71 @@ def test_every_private_helper_is_referenced():
     assert unreferenced_private(trees) == []
 
 
+def public_definitions(tree):
+    """(qualified name, node) of each public top-level function and class
+    and each public method of a top-level class."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        for d in [node, *members]:
+            if isinstance(d, defs) and not d.name.startswith("_"):
+                yield (d.name if d is node else f"{node.name}.{d.name}"), d
+
+
+def unreferenced_public(trees):
+    """(file, line, qualified name) of each public definition whose name
+    nothing outside its own body reads, over a {file: module tree} map.
+    A string, such as an ``_EXPORTS`` entry, is no reference."""
+    everywhere = sum((names_read(t) for t in trees.values()), Counter())
+    return sorted(
+        (path, d.lineno, name)
+        for path, tree in trees.items()
+        for name, d in public_definitions(tree)
+        if everywhere[d.name] == names_read(d)[d.name]
+    )
+
+
+def test_unreferenced_public_routines_are_found():
+    main = ast.parse(
+        "_EXPORTS = {'main': ('dead', 'Kept')}\n"
+        "def used(): pass\n"
+        "def dead(): pass\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "class Kept:\n"
+        "    def step(self): return self.helper()\n"
+        "    def helper(self): pass\n"
+        "    def orphan(self):\n"
+        "        def inner(): pass\n"
+        "        return inner\n"
+        "    def _private(self): pass\n"
+        "class Unused: pass\n"
+        "Kept().step()\n"
+    )
+    other = ast.parse("import main\nmain.used()\n")
+    assert unreferenced_public({"main": main, "other": other}) == [
+        ("main", 3, "dead"), ("main", 4, "recursive"), ("main", 8, "Kept.orphan"),
+        ("main", 12, "Unused"),
+    ]
+
+
+# public routines that only documented examples and tests call, with where
+# each is documented
+DOCUMENTED_API = {
+    ("catalog/__init__.py", "load"): "README: the catalog is usable from Python",
+    ("roots.py", "reflection_of"): "tests/test_acceptance.py, criterion 08",
+    ("gcm.py", "GeneralizedCartanMatrix.entry"): "the class doctest",
+    ("weyl.py", "WeylGroup.generator"): "the class doctest",
+}
+
+
+def test_every_public_routine_is_reached():
+    # a public name that nothing in the package reads is a second surface
+    # to keep; it goes, or it is documented here
+    trees = {str(p.relative_to(SRC)): ast.parse(p.read_text()) for p in sorted(SRC.rglob("*.py"))}
+    found = [(path, name) for path, _, name in unreferenced_public(trees)]
+    assert found == sorted(DOCUMENTED_API)
+
+
 def products(function):
     """Line numbers of the ``*`` and ``**`` operators in a function, the
     augmented forms included; ``*`` unpacking is not a product."""

@@ -9,6 +9,7 @@ import pytest
 import oracles
 from oracles import Comparison, compare_commensurability
 from kmgroups import (
+    BudgetExceededError,
     ComponentNotSphericalError,
     EssentialPoset,
     GeneralizedCartanMatrix,
@@ -497,6 +498,13 @@ class TestFindJRegular:
         assert cert.element.word == (0, 1, 0, 2)
         assert cert.roots_checked == 24
         assert cert.closure.support == {0, 1, 2}
+
+    def test_power_steps_count_against_the_budget(self):
+        # the roots (2) and the candidate ball (5) fit in 6; six powers do not
+        W = group(AFF1)
+        assert find_j_regular(W, {0, 1}, 2, 6, 2, 1, budget=6) is not None
+        with pytest.raises(BudgetExceededError, match="power steps"):
+            find_j_regular(W, {0, 1}, 2, 7, 2, 1, budget=6)
 
     def test_search_builds_each_ball_once(self, monkeypatch):
         # the candidate ball and one closure ball, however many candidates

@@ -25,6 +25,16 @@ def group(rows):
     return WeylGroup(GeneralizedCartanMatrix.from_rows(rows))
 
 
+def image(w, i):
+    """w(alpha_i): column i of w's matrix."""
+    return tuple(row[i] for row in w.rows)
+
+
+def right_descents(w):
+    """The i with w(alpha_i) < 0, which are the i with length(w s_i) < length(w)."""
+    return tuple(i for i in range(w.group.rank) if weyl.root_sign(image(w, i)) < 0)
+
+
 def finite_a(n):
     """Rows of the Cartan matrix of finite type A_n."""
     return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)]
@@ -59,7 +69,7 @@ class TestBasics:
         s1 = W.generator(0)
         assert s1.apply((1, 0)) == (-1, 0)
         assert s1.apply((0, 1)) == (1, 1)
-        assert s1.image_of_simple(1) == (1, 1)
+        assert image(s1, 1) == (1, 1)
 
     def test_affine_generator_action(self):
         W = group(AFF1)
@@ -122,10 +132,10 @@ class TestWordsAndDescents:
 
     def test_descent_set(self):
         W = group(A2)
-        assert W.from_word([0]).right_descents() == (0,)
-        assert W.from_word([0, 1]).right_descents() == (1,)
-        assert W.from_word([0, 1, 0]).right_descents() == (0, 1)
-        assert W.identity.right_descents() == ()
+        assert right_descents(W.from_word([0])) == (0,)
+        assert right_descents(W.from_word([0, 1])) == (1,)
+        assert right_descents(W.from_word([0, 1, 0])) == (0, 1)
+        assert right_descents(W.identity) == ()
 
     def test_word_laws_on_balls(self):
         # for every element of a ball: the canonical word reduces correctly,
@@ -142,7 +152,7 @@ class TestWordsAndDescents:
                 for i in range(W.rank):
                     delta = (w * W.generator(i)).length - w.length
                     assert delta in (-1, 1)
-                    assert (delta < 0) == (i in w.right_descents())
+                    assert (delta < 0) == (weyl.root_sign(image(w, i)) < 0)
 
     def test_length_is_bfs_depth(self):
         W = group(AFF2)
@@ -285,7 +295,7 @@ class TestLongestElement:
                 assert w0.support == subset
                 # w0 maps the subset's simple roots to negatives of themselves
                 for i in subset:
-                    img = w0.image_of_simple(i)
+                    img = image(w0, i)
                     assert all(x <= 0 for x in img)
 
     def test_longest_element_rejects_non_spherical(self):
@@ -453,6 +463,32 @@ class TestStraightness:
         t = W.from_word([0, 1, 0, 2])  # translation-like element
         assert t.is_straight(4)
         assert (t**3).length == 3 * t.length
+
+    def test_power_lengths_are_lazy_and_budgeted(self):
+        W = group(AFF1)
+        w = W.from_word([0, 1])
+        assert list(w.power_lengths(5, budget=5)) == [2, 4, 6, 8, 10]
+        assert list(W.generator(0).power_lengths(3)) == [1, 0, 1]
+        # charged before any product: a huge bound never allocates
+        for n in (6, 10**20):
+            with pytest.raises(BudgetExceededError, match="power steps"):
+                w.power_lengths(n, budget=5)
+            with pytest.raises(BudgetExceededError, match="power steps"):
+                W.generator(0).is_straight(n, budget=5)
+
+    def test_is_straight_stops_at_the_first_failing_power(self, monkeypatch):
+        # one product decides an involution, however large n_max is: this is
+        # find_j_regular's cost per rejected candidate
+        products = []
+        mul = weyl.WeylElement.__mul__
+
+        def counting(a, b):
+            products.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(weyl.WeylElement, "__mul__", counting)
+        assert not group(AFF1).generator(0).is_straight(50)
+        assert len(products) == 1
 
 
 KERNEL_GCMS = oracles.kernel_gcms(seed=10)
