@@ -23,16 +23,16 @@ are 1-based comma-separated indices, as on the wire.
 
 Each command is a row of ``COMMANDS``; ``main`` builds every envelope and
 returns the exit code, and ``run``, the `km` entry point, ends the process
-with it.  A process builds the parser of its own command only, and
-handlers import the engine modules they run, so start-up loads only
-``gcm`` (and ``_intmat``); ``coxeter``, ``weyl``, ``roots``,
-``parabolics``, ``analysis`` and ``catalog`` load with the commands that
-use them.
+with it.  ``_read_argv`` reads the command line off the row of the command
+it names, with no parser object built, and handlers import the engine
+modules they run, so start-up loads only ``gcm`` (and ``_intmat``);
+``coxeter``, ``weyl``, ``roots``, ``parabolics``, ``analysis`` and
+``catalog`` load with the commands that use them, and ``_help``, the help
+and usage text, with ``-h`` and a refused command line.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -41,6 +41,7 @@ from collections.abc import Callable, Iterable, Sequence
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter, itemgetter
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
 from . import DEFAULT_BUDGET, BadInputError, BudgetExceededError, __version__
@@ -80,7 +81,7 @@ def parse_gcm_text(text: str) -> GeneralizedCartanMatrix:
         try:  # an entry is what ``_count`` reads, with an optional leading minus
             rows.append([-_count(t[1:]) if t[0] == "-" else _count(t)
                          for t in line.split()])
-        except argparse.ArgumentTypeError as exc:
+        except ValueError as exc:
             raise InputError(f"bad integer row: {line!r}") from exc
     return GeneralizedCartanMatrix.from_rows(rows)
 
@@ -112,7 +113,7 @@ def _natural(text: str, noun: str) -> int:
     """``text`` as ``_count`` reads it, the one integer syntax of `km`."""
     try:
         return _count(text)
-    except argparse.ArgumentTypeError as exc:
+    except ValueError as exc:
         raise InputError(f"bad {noun} {text!r}") from exc
 
 
@@ -531,7 +532,9 @@ def _catalog(gcm, args):
 class _Command(NamedTuple):
     """One `km` command.  ``name`` is the wire name; a dash nests it under a
     group ("weyl-word" is ``km weyl word``).  ``options`` are (flag,
-    argparse keywords) pairs.  Bounded commands warn that their answer only
+    keywords) pairs, in argparse's words: ``type``, ``choices``,
+    ``required``, ``default``, ``dest`` and ``help``, and ``nargs="?"`` for
+    an optional positional.  Bounded commands warn that their answer only
     holds up to the stated bounds."""
 
     name: str
@@ -547,22 +550,20 @@ def _opt(flag: str, **keywords) -> tuple[str, dict]:
 
 
 def _count(text: str) -> int:
-    """An argparse type: a nonnegative integer bound, in ASCII digits."""
+    """An option type: a nonnegative integer bound, in ASCII digits."""
     try:
         if text.isascii() and text.isdecimal():
             return int(text)
     except ValueError:  # more digits than the interpreter's int() converts
         pass
-    raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
+    raise ValueError(f"{text!r} is not a nonnegative integer")
 
 
 def _power_bound(text: str) -> int:
-    """An argparse type: a largest power n >= 2; the checks run over 2..n."""
+    """An option type: a largest power n >= 2; the checks run over 2..n."""
     n = _count(text)
     if n < 2:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is below 2: the checks cover powers 2..n"
-        )
+        raise ValueError(f"{text!r} is below 2: the checks cover powers 2..n")
     return n
 
 
@@ -607,47 +608,160 @@ COMMANDS = (
              reads_gcm=False),
 )
 
-_GROUP_HELP = {"weyl": "element arithmetic"}
+_BY_NAME = {command.name: command for command in COMMANDS}
+_GCM = _opt("gcm")
+_HELP_FLAGS = {"-h": {"action": "help"}, "--help": {"action": "help"}}
+_TOP_FLAGS = {**_HELP_FLAGS, "--version": {"action": "version"}}
 
-# the first word of each command line: a command, or a group of commands
-_FIRST_WORDS = tuple(dict.fromkeys(c.name.partition("-")[0] for c in COMMANDS))
+
+# ---------------------------------------------------------------- command line
 
 
-def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The `km` parser for ``argv``.
+def _read_argv(argv: Sequence[str]) -> tuple[_Command, SimpleNamespace]:
+    """The command ``argv`` names, and its values read off its own row of
+    ``COMMANDS``.
 
-    When ``argv`` starts with a command (or group) name, only that part of
-    the tree is built; otherwise (no command, an option first, an unknown
-    name) all of it is.  The narrowed parser spells out every command name
-    in its usage line, so help and error text do not depend on which tree
-    parsed them.
+    The grammar is argparse's for the same table: ``--flag value``,
+    ``--flag=value`` or a unique prefix of a long flag, in any order with
+    the positionals; a lone ``-`` and a negative number are values, ``--``
+    makes the rest positionals, and the last of a repeated flag wins.
+    ``-h``/``--help`` at every level, and ``--version`` before the command,
+    print to stdout and raise ``SystemExit(0)``.  A malformed line writes a
+    usage line and ``km ...: error: ...`` to stderr and raises
+    ``SystemExit(2)``.
     """
-    first = argv[0] if argv and argv[0] in _FIRST_WORDS else None
-    parser = argparse.ArgumentParser(
-        prog="km",
-        description="Combinatorial invariants of a generalized Cartan matrix",
-    )
-    parser.add_argument("--version", action="version", version=f"km {__version__}")
-    metavar = None if first is None else "{" + ",".join(_FIRST_WORDS) + "}"
-    subparsers = {
-        "": parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    }
-    for command in COMMANDS:
-        group, _, leaf = command.name.rpartition("-")
-        if first is not None and first != (group or leaf):
-            continue
-        if group not in subparsers:
-            parent = subparsers[""].add_parser(group, help=_GROUP_HELP[group])
-            subparsers[group] = parent.add_subparsers(
-                dest=f"{group}_command", required=True
-            )
-        p = subparsers[group].add_parser(leaf, help=command.help)
-        if command.reads_gcm:
-            p.add_argument("gcm", help="matrix file (JSON or plain rows; - for stdin)")
-        for flag, options in command.options:
-            p.add_argument(flag, **options)
-        p.set_defaults(spec=command)
-    return parser
+    words, extras, tokens = [], [], list(argv)
+    while (command := _BY_NAME.get("-".join(words))) is None:
+        tokens = _read(words, None, tokens, extras)
+    values = _read(words, command, tokens, extras)
+    if extras:
+        _fail([], "unrecognized arguments: " + " ".join(extras))
+    return command, SimpleNamespace(**values)
+
+
+def _read(words: list[str], command: _Command | None, tokens: list[str],
+          extras: list[str]) -> list[str] | dict:
+    """One level of the command line after ``words``.  Before the command
+    (``command`` None) it reads the next word, appends it to ``words`` and
+    returns the tokens after it; at the command it returns the value of
+    each positional and flag.  Unknown flags and surplus positionals go to
+    ``extras``, to be refused once help had its chance."""
+    if command is None:
+        flags = _HELP_FLAGS if words else _TOP_FLAGS
+        positionals, options = [("command", {})], ()
+    else:
+        flags = {**_HELP_FLAGS, **{f: kw for f, kw in command.options if f[0] == "-"}}
+        positionals = [_GCM] * command.reads_gcm + [o for o in command.options if o[0][0] != "-"]
+        options = command.options
+    # every flag up to "--" is read before any acts, as argparse does, so
+    # an ambiguous prefix is refused even after a help flag
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    reads = [_flag(words, t, flags) for t in tokens[:end]] + [None] * (len(tokens) - end)
+    if command is not None and end < len(tokens):  # the command drops its "--"
+        tokens, reads = tokens[:end] + tokens[end + 1:], reads[:end] + reads[end + 1:]
+    values = {_dest(f, kw): kw.get("default") for f, kw in (*positionals, *options)}
+    given, seen, k = [], set(), 0
+    while k < len(tokens):
+        token, read = tokens[k], reads[k]
+        k += 1
+        if read is None and command is None:  # a command, or a group of commands
+            path = "-".join([*words, token])
+            if "-" in token or not any(n == path or n.startswith(path + "-") for n in _BY_NAME):
+                _fail(words, f"argument command: invalid choice: {token!r}")
+            words.append(token)
+            return tokens[k:]
+        if read is None:
+            given.append(token)
+        elif read[0] is None:
+            extras.append(token)
+        else:
+            flag, value = read
+            if "action" in flags[flag]:
+                _act(words, flag, value)
+            if value is None:
+                if k == len(tokens) or reads[k] is not None:
+                    _fail(words, f"argument {flag}: expected one argument")
+                value, k = tokens[k], k + 1
+            values[_dest(flag, flags[flag])] = _value(words, flag, flags[flag], value)
+            seen.add(flag)
+    for (name, keywords), token in zip(positionals, given):
+        values[_dest(name, keywords)] = token
+    extras += given[len(positionals):]
+    missing = [name for name, kw in positionals[len(given):] if "nargs" not in kw]
+    missing += [f for f, kw in options if kw.get("required") and f not in seen]
+    if missing:
+        _fail(words, "the following arguments are required: " + ", ".join(missing))
+    return values
+
+
+def _flag(words: list[str], token: str, flags: dict
+          ) -> tuple[str | None, str | None] | None:
+    """``token`` as argparse reads it against ``flags``: None for a
+    positional, else the flag (None for an unknown one) and the value
+    attached to it (None if none).  An exact flag comes first, then
+    ``flag=value``, then a unique prefix of a long flag; ``-hX`` attaches
+    ``X`` to ``-h``.  A lone ``-`` or ``--``, a negative number (digits
+    with at most one point, a digit last) and an unknown token holding a
+    space are positionals."""
+    if token[:1] != "-" or token in ("-", "--"):
+        return None
+    if token in flags:
+        return token, None
+    name, eq, value = token.partition("=")
+    if eq and name in flags:
+        return name, value
+    if token[1] == "-":
+        matches = [f for f in flags if f.startswith(name)]
+        value = value if eq else None
+    else:
+        matches = [f for f in flags if f == token[:2]]
+        value = token[2:]
+    if len(matches) > 1:
+        _fail(words, f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value
+    if " " in token or token[1:].replace(".", "", 1).isdecimal() and token[-1] != ".":
+        return None
+    return None, None
+
+
+def _value(words: list[str], flag: str, keywords: dict, text: str):
+    """``text`` through the ``type`` and ``choices`` of ``flag``."""
+    kind, choices = keywords.get("type"), keywords.get("choices")
+    try:
+        value = text if kind is None else kind(text)
+    except ValueError as exc:
+        _fail(words, f"argument {flag}: {exc}")
+    if choices is not None and value not in choices:
+        _fail(words, f"argument {flag}: invalid choice: {value!r} "
+                     f"(choose from {', '.join(map(repr, choices))})")
+    return value
+
+
+def _act(words: list[str], flag: str, value: str | None) -> NoReturn:
+    """Print the help of ``km`` followed by ``words``, or the version."""
+    if value is not None:
+        _fail(words, f"argument {flag}: ignored explicit argument {value!r}")
+    if flag == "--version":
+        sys.stdout.write(f"km {__version__}\n")
+    else:
+        from . import _help
+
+        sys.stdout.write(_help.text(COMMANDS, words))
+    raise SystemExit(0)
+
+
+def _fail(words: list[str], message: str) -> NoReturn:
+    """Refuse a malformed command line: usage and error to stderr, exit 2."""
+    from . import _help
+
+    prog = " ".join(["km", *words])
+    sys.stderr.write(f"{_help.usage(COMMANDS, words)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _dest(flag: str, keywords: dict) -> str:
+    return keywords.get("dest") or flag.lstrip("-").replace("-", "_")
 
 
 def _result(command: _Command, args) -> str | dict:
@@ -674,9 +788,9 @@ def _result(command: _Command, args) -> str | dict:
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser(argv).parse_args(argv)
+    command, args = _read_argv(argv)
     try:
-        result = _result(args.spec, args)
+        result = _result(command, args)
         if isinstance(result, str):
             text, end = result[:-1], result[-1:]
         else:

@@ -15,7 +15,7 @@ from itertools import chain, repeat
 from operator import or_
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import DEFAULT_BUDGET, BadInputError
+from . import DEFAULT_BUDGET, BadInputError, BudgetExceededError
 from .coxeter import CoxeterDiagram
 
 if TYPE_CHECKING:  # the group routines import it when they run; the poset never does
@@ -321,11 +321,16 @@ def find_j_regular(
 
     Returns None when no element of length <= max_len passes; the bounds
     make every accepted certificate checkable but never prove that smaller
-    candidates were wrongly rejected at higher bounds.
+    candidates were wrongly rejected at higher bounds.  The power_bound
+    powers are charged to ``budget`` before any candidate is scanned, as
+    ``WeylElement.power_lengths`` charges them, so past it this raises
+    :class:`BudgetExceededError` whichever candidates the other bounds give.
     """
     from .roots import periodic_roots, positive_real_roots, split_by_support
 
     subset, _ = normalizer_factors(group.diagram, subset)  # NotEssentialError
+    if power_bound > budget:
+        raise BudgetExceededError("power steps", budget)
     all_roots = positive_real_roots(group, max_height, budget=budget)
     in_subset, _ = split_by_support(all_roots, subset)
     torsion_bound = group.diagram.max_finite_order(group.diagram.index_set)

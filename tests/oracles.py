@@ -721,6 +721,37 @@ def wire(value):
     raise TypeError(f"no wire form for {kind.__name__}")
 
 
+# ---------------------------------------------------------------------------
+# The command line, read by argparse.
+
+
+def argparse_parser(commands):
+    """The argparse tree of a `km` command table: one subparser a command,
+    under a subparser of its group when its name has a dash ("weyl-word"
+    is ``km weyl word``).  ``commands`` are rows with ``name``, ``help``,
+    ``options`` ((flag, ``add_argument`` keywords) pairs) and
+    ``reads_gcm``; the table is passed in, so that nothing here imports
+    the package.  Parsing sets ``spec`` to the row of the command named.
+    """
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="km")
+    parser.add_argument("--version", action="version", version="km")
+    subparsers = {"": parser.add_subparsers(dest="command", required=True)}
+    for command in commands:
+        group, _, leaf = command.name.rpartition("-")
+        if group not in subparsers:
+            parent = subparsers[""].add_parser(group)
+            subparsers[group] = parent.add_subparsers(dest=f"{group}_command", required=True)
+        p = subparsers[group].add_parser(leaf, help=command.help)
+        if command.reads_gcm:
+            p.add_argument("gcm")
+        for flag, options in command.options:
+            p.add_argument(flag, **options)
+        p.set_defaults(spec=command)
+    return parser
+
+
 if __name__ == "__main__":
     import doctest
 

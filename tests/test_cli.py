@@ -1,6 +1,5 @@
 """End-to-end CLI tests: envelopes, schema conformance, exit codes, goldens."""
 
-import argparse
 import contextlib
 import io
 import json
@@ -11,6 +10,7 @@ import subprocess
 import sys
 import time
 from importlib import resources
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
@@ -508,7 +508,7 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().out)["parameters"]["n"] == 2
 
     @pytest.mark.parametrize("n", ["1000001", "100000000000000000000"])
-    @pytest.mark.parametrize("command", ["straight", "jregular"])
+    @pytest.mark.parametrize("command", ["straight", "jregular", "jregular_involutions"])
     def test_power_bound_past_the_budget_is_exit_3(self, catalog_paths, capsys, command, n):
         # the powers are charged before any is formed, so no test allocates them
         from kmgroups import cli
@@ -522,7 +522,9 @@ class TestExitCodes:
         if command == "straight":
             return ["weyl", "straight", catalog_paths["affine_a2"], "--word", "1,2",
                     "--n", n]
-        return ["jregular", catalog_paths["affine_a1"], "--set", "1,2", "--max-len", "2",
+        # at --max-len 1 both candidates are involutions, which reach no power
+        max_len = "1" if command == "jregular_involutions" else "2"
+        return ["jregular", catalog_paths["affine_a1"], "--set", "1,2", "--max-len", max_len,
                 "--n", n, "--max-height", "2", "--depth", "1"]
 
     @pytest.mark.parametrize(
@@ -765,24 +767,117 @@ class TestProcessExit:
         assert " function calls " in proc.stdout
 
 
-def _parse(parser, argv):
-    """(exit code, stdout, stderr, parsed options) of one parse, in-process."""
+def _outcome(read, argv):
+    """(exit code, whether stdout and whether stderr were written, the
+    command name and values parsed) of one in-process read of ``argv``."""
     out, err = io.StringIO(), io.StringIO()
     code, parsed = None, None
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            parsed = vars(parser.parse_args(argv))
+            parsed = read(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, out.getvalue(), err.getvalue(), parsed
+    return code, bool(out.getvalue()), bool(err.getvalue()), parsed
+
+
+def _read(argv):
+    command, args = cli._read_argv(argv)
+    return command.name, vars(args)
+
+
+ORACLE = oracles.argparse_parser(cli.COMMANDS)
+
+
+def _oracle_read(argv):
+    values = vars(ORACLE.parse_args(argv))
+    for dest in ("command", "weyl_command"):
+        values.pop(dest, None)
+    return values.pop("spec").name, values
 
 
 _WORDS = [command.name.split("-") for command in cli.COMMANDS]
 
+# one argv per form the reader must read as argparse does; "m.json" need
+# not exist, as only the command line is read.  The golden ``catalog`` argv
+# is the bare ``catalog`` of the argv list below, so it is not repeated.
+READER_CORPUS = [
+    [a.replace("{}", f"{entry}.json") for a in template] for _, entry, template in CASES if entry
+] + [
+    # --flag=value, unique prefixes, options before the positional, repeats
+    ["decompose", "m.json", "--set=1,2"],
+    ["decompose", "--set", "1", "m.json"],
+    ["decompose", "m.json", "--set="],
+    ["roots", "m.json", "--max-h", "3", "--se=1", "--bud=9"],
+    ["jregular", "m.json", "--set=1,2", "--max-l", "2", "--n=3", "--max-h", "2", "--dep", "1"],
+    ["conj", "m.json", "--f", "1", "--to=2"],
+    ["poset", "m.json", "--fo", "dot"],
+    ["nerve", "--format=dot", "m.json"],
+    ["indec", "m.json", "--q", "2", "--q", "4"],
+    ["catalog", "affine_a2"],
+    # "-" is stdin; a negative number, an empty token and a token with a
+    # space are values; "--" makes the rest positional
+    ["classify", "-"],
+    ["weyl", "word", "-", "--word", "2,1"],
+    ["decompose", "--set", "1", "-"],
+    ["weyl", "word", "m.json", "--word", "-1"],
+    ["classify", "-3"],
+    ["classify", ""],
+    ["classify", "-my file.json"],
+    ["classify", "--", "-"],
+    ["classify", "m.json", "--"],
+    ["classify", "--", "m.json", "x"],
+    ["catalog", "--", "--"],
+    ["--", "classify", "m.json"],
+    # help and version: at every level, by prefix, after an unknown flag
+    ["--he"],
+    ["--v"],
+    ["weyl", "--h"],
+    ["roots", "--he"],
+    ["classify", "m.json", "--bogus", "--help"],
+    ["--bogus", "classify", "-h"],
+    ["--version=1"],
+    ["classify", "--help=x"],
+    ["-hx"],
+    # unknown flags
+    ["classify", "m.json", "--bogus"],
+    ["classify", "m.json", "-x"],
+    ["--bogus", "classify", "m.json"],
+    ["weyl", "--bogus", "word", "m.json", "--word", "1"],
+    ["classify", "m.json", "--version"],
+    ["weyl", "nosuch"],
+    ["weyl-word", "m.json", "--word", "1"],
+    ["weyl", "word-x", "m.json"],
+    # a missing value
+    ["decompose", "m.json", "--set"],
+    ["decompose", "m.json", "--set", "--help"],
+    ["weyl", "word", "m.json", "--word"],
+    ["conj", "m.json", "--from", "1"],
+    # a bad choice, a bad type (the error comes before a later help flag)
+    ["poset", "m.json", "--format", "xml"],
+    ["nerve", "m.json", "--format=JSON"],
+    ["roots", "m.json", "--max-height", "x"],
+    ["roots", "m.json", "--max-height", "-1"],
+    ["roots", "m.json", "--max-height", "\u0663"],
+    ["roots", "m.json", "--max-height", "x", "--help"],
+    ["weyl", "straight", "m.json", "--word", "1", "--n", "1"],
+    ["jregular", "m.json", "--set", "1", "--max-len", "1", "--n", "2", "--max-height", "1",
+     "--depth", "1", "--budget", "1_0"],
+    # an ambiguous prefix, refused even after a help flag
+    ["jregular", "m.json", "--m", "1"],
+    ["jregular", "m.json", "--help", "--max", "1"],
+    # extra positionals
+    ["weyl", "word", "m.json", "x", "--word", "1"],
+    ["decompose", "m.json", "y", "--set", "1"],
+    ["catalog", "a", "b"],
+]
+
 
 class TestNarrowedParser:
-    """``_build_parser(argv)`` builds only the command ``argv`` names; what
-    it prints and parses must match the full tree byte for byte."""
+    """``_read_argv`` reads only the row of the command ``argv`` names and
+    builds no parser; on every argv it must exit as the full argparse tree
+    of ``oracles.argparse_parser`` does, write to the same streams, and
+    parse the same values.  Help text is not compared: its layout may
+    differ."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -790,21 +885,39 @@ class TestNarrowedParser:
         + _WORDS  # a missing required argument (``catalog`` needs none)
         + [["--help"], ["weyl", "--help"], ["-h", "classify"], ["nosuch", "x"],
            ["--version"], [], ["weyl"], ["classify", "m.json", "extra"],
-           ["weyl", "word", "m.json", "--word", "1", "extra"]],
+           ["weyl", "word", "m.json", "--word", "1", "extra"]]
+        + READER_CORPUS,
         ids=" ".join,
     )
     def test_matches_the_full_parser(self, argv):
-        assert _parse(cli._build_parser(argv), argv) == _parse(cli._build_parser(), argv)
+        assert _outcome(_read, argv) == _outcome(_oracle_read, argv)
 
-    def test_a_command_builds_only_its_subtree(self):
-        def first_words(argv):
-            (action,) = cli._build_parser(argv)._subparsers._group_actions
-            return list(action.choices)
+    def test_the_corpus_reaches_every_outcome(self):
+        codes = {_outcome(_read, argv)[0] for argv in READER_CORPUS}
+        assert codes == {None, 0, 2}
 
-        assert first_words(["classify", "m.json"]) == ["classify"]
-        assert first_words(["weyl", "word"]) == ["weyl"]
-        full = list(dict.fromkeys(words[0] for words in _WORDS))
-        assert first_words([]) == first_words(["nosuch"]) == first_words(["-h"]) == full
+    def test_errors_name_the_command_and_the_fault(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["weyl", "straight", "m.json", "--word", "1", "--n", "1"])
+        assert exc.value.code == 2
+        usage, error = capsys.readouterr().err.splitlines()
+        assert usage == "usage: km weyl straight [-h] gcm --word WORD --n N"
+        assert error == (
+            "km weyl straight: error: argument --n: '1' is below 2: the checks cover powers 2..n")
+
+    @pytest.mark.parametrize("words", [[], ["weyl"], *_WORDS], ids=" ".join)
+    def test_help_lists_every_choice_and_flag(self, words, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*words, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        command = cli._BY_NAME.get("-".join(words))
+        if command is None:
+            names = {c.name.split("-")[len(words)] for c in cli.COMMANDS
+                     if c.name.split("-")[:len(words)] == words}
+        else:
+            names = [flag for flag, _ in command.options] + ["gcm"] * command.reads_gcm
+        assert all(f"  {name}" in text for name in names), text
 
 
 class TestWeylCommands:
@@ -833,7 +946,7 @@ class TestWeylCommands:
             gcm = GeneralizedCartanMatrix.from_rows(rows)
             for _ in range(3):
                 word, n = random_word(rng, len(rows), 6), rng.randint(2, 7)
-                args = argparse.Namespace(word=",".join(str(k + 1) for k in word), n=n)
+                args = SimpleNamespace(word=",".join(str(k + 1) for k in word), n=n)
                 _, payload = cli._weyl_straight(gcm, args)
                 w = WeylGroup(gcm).from_word(word)
                 assert payload["power_lengths"] == [(w**k).length for k in range(1, n + 1)]

@@ -175,8 +175,7 @@ def test_whole_envelopes(command, rows, options, tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"matrix": rows}))
     argv = [command, str(path), *options]
-    args = cli._build_parser(argv).parse_args(argv)
-    doc = cli._result(args.spec, args)
+    doc = cli._result(*cli._read_argv(argv))
     assert cli._emit(doc, "") == reference(doc)
 
 

@@ -135,6 +135,45 @@ def test_no_second_json_writer(path):
     assert json_writes(ast.parse(path.read_text())) == []
 
 
+FORBIDDEN_MODULES = {"argparse", "gettext", "locale"}
+
+
+def forbidden_imports(tree):
+    """(line, module) of each import of a module in ``FORBIDDEN_MODULES``
+    or below one, at any depth of the tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        found += [(node.lineno, m) for m in modules if m.split(".")[0] in FORBIDDEN_MODULES]
+    return sorted(found)
+
+
+def test_forbidden_imports_are_found():
+    tree = ast.parse(
+        "import argparse\n"
+        "import os, locale as loc\n"
+        "def f():\n"
+        "    from gettext import gettext\n"
+        "from . import argparse\n"
+        "import argparser\n"
+    )
+    assert forbidden_imports(tree) == [(1, "argparse"), (2, "locale"), (4, "gettext")]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC))
+)
+def test_no_module_imports_argparse(path):
+    # `km` reads its command line off ``cli.COMMANDS``; argparse, with the
+    # gettext and locale it loads, is the reference of the tests only
+    assert forbidden_imports(ast.parse(path.read_text())) == []
+
+
 def private_definitions(tree):
     """Top-level functions and classes, and methods of top-level classes,
     whose names are private (a leading underscore, not a dunder)."""

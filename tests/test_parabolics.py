@@ -506,6 +506,16 @@ class TestFindJRegular:
         with pytest.raises(BudgetExceededError, match="power steps"):
             find_j_regular(W, {0, 1}, 2, 7, 2, 1, budget=6)
 
+    def test_power_steps_are_charged_when_no_candidate_is_tested(self):
+        # both candidates of length 1 are involutions, which the scan skips
+        # before any power is formed; the bound is still past the budget
+        W = group(AFF1)
+        assert find_j_regular(W, {0, 1}, 1, 6, 2, 1, budget=6) is None
+        with pytest.raises(BudgetExceededError, match="power steps"):
+            find_j_regular(W, {0, 1}, 1, 7, 2, 1, budget=6)
+        with pytest.raises(BudgetExceededError, match="power steps"):
+            find_j_regular(W, {0, 1}, 1, 10**20, 2, 1)
+
     def test_search_builds_each_ball_once(self, monkeypatch):
         # the candidate ball and one closure ball, however many candidates
         # reach the closure check (seven here)

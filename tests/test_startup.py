@@ -3,7 +3,8 @@
 Each check runs a new interpreter and reads the modules it imported from
 ``python -X importtime``, so it tests the real command path.  Module sets,
 not timings: a command must not load an engine it does not run, and no
-command may load ``dataclasses``.  With bytecode caching off every loaded
+command may load ``dataclasses``, nor ``argparse`` with the ``gettext``
+and ``locale`` it brings.  With bytecode caching off every loaded
 module is compiled from source on each run, so a module a command does not
 need is a cost it pays every time.  That engine input errors still exit 2
 from a fresh process is checked in ``test_cli.py`` (``TestExitCodes``).
@@ -18,6 +19,9 @@ import pytest
 from kmgroups import cli
 
 HEAVY = {"kmgroups.analysis", "kmgroups.parabolics", "kmgroups.roots"}
+# what a command line read by argparse costs: it imports gettext, and its
+# first translated message imports locale
+PARSER = {"argparse", "gettext", "locale"}
 
 # one invocation of every command; {} is replaced by a catalog matrix path
 ARGV = {
@@ -92,8 +96,10 @@ def test_import_cli_loads_no_heavy_engine():
     assert rc == 0
     assert "kmgroups.cli" in names
     assert not names & (
-        HEAVY | {"dataclasses", "kmgroups.coxeter", "kmgroups.weyl", "kmgroups.catalog"}
+        HEAVY | {"dataclasses", "kmgroups.coxeter", "kmgroups.weyl", "kmgroups.catalog",
+                 "kmgroups._help"}
     )
+    assert not names & PARSER
 
 
 def test_public_names_load_only_their_module():
@@ -139,3 +145,21 @@ def test_only_catalog_loads_catalog(name, km_modules):
 @pytest.mark.parametrize("name", sorted(ARGV))
 def test_no_command_loads_dataclasses(name, km_modules):
     assert "dataclasses" not in km_modules(name)
+
+
+@pytest.mark.parametrize("name", sorted(ARGV))
+def test_no_command_loads_argparse(name, km_modules):
+    assert not km_modules(name) & PARSER
+
+
+@pytest.mark.parametrize("name", sorted(ARGV))
+def test_a_well_formed_command_loads_no_help_text(name, km_modules):
+    assert "kmgroups._help" not in km_modules(name)
+
+
+@pytest.mark.parametrize("argv, code", [(["classify", "--help"], 0), (["classify", "--bogus"], 2)])
+def test_help_and_errors_load_the_help_text(argv, code):
+    rc, names = imported("-m", "kmgroups.cli", *argv)
+    assert rc == code
+    assert "kmgroups._help" in names
+    assert not names & PARSER
