@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import accumulate
+from math import isqrt
 from operator import mul
 
 from . import DEFAULT_BUDGET, BudgetExceededError
@@ -295,16 +295,20 @@ class WeylElement:
         Powers are tried up to ``max_finite_order`` of the element's
         support, which caps its order if it is torsion.
 
-        The scan follows one row of heights instead of matrix powers.  Let
+        The search follows rows of heights instead of matrix powers.  Let
         h_k[j] be the height of w^k(alpha_j), which is the row 1^T M^k for
-        the matrix M of w; each step h <- h M costs n dot products.  The
-        identity is the only element whose height row is all ones: a
-        nonidentity element v has a right descent j, so v(alpha_j) is a
-        negative root, of height at most -1.  So the first k up to the cap
-        with h_k = (1, ..., 1) is the order, and minimality needs no further
-        check, since at every m < k the row was not all ones and w^m is not
-        the identity.  The hit itself is rechecked by computing w^k with
-        square-and-multiply.
+        the matrix M of w.  The identity is the only element whose height
+        row is all ones: a nonidentity element v has a right descent j, so
+        v(alpha_j) is a negative root, of height at most -1.  As M is
+        invertible, h_r = h_s iff w^(s - r) = e.
+
+        Baby steps store h_r -> r for r < b = min(ceil(sqrt(cap)), 1024),
+        one step h <- h M (n dot products) each; an all-ones h_r with r > 0
+        is the order.  Otherwise the order is at least b and the stored rows
+        are distinct, so giant steps G_j = G_(j-1) M^b from G_0 = 1^T meet a
+        stored h_r first at w^(jb - r) = e with jb - r the order, or pass the
+        cap.  That is b + cap / b steps, not cap.  The exponent found is
+        rechecked by computing w^k with square-and-multiply.
 
         >>> from .gcm import GeneralizedCartanMatrix
         >>> W = WeylGroup(GeneralizedCartanMatrix.from_rows([[2, -1], [-1, 2]]))
@@ -316,28 +320,67 @@ class WeylElement:
         True
         """
         cols = tuple(zip(*self.rows))
-        ones = [1] * len(cols)
-        heights = [sum(col) for col in cols]
+        ones = (1,) * len(cols)
         cap = self.group.diagram.max_finite_order(self.support)
-        for k in range(1, cap + 1):
+        b = min(isqrt(cap - 1) + 1, 1024)
+        baby, heights, k = {ones: 0}, ones, None
+        for r in range(1, b):
+            heights = tuple([sum(map(mul, heights, col)) for col in cols])
             if heights == ones:
-                if not (self**k).is_identity:
-                    raise RuntimeError(f"w^{k} has all heights 1 but is not e")
-                return k
-            heights = [sum(map(mul, heights, col)) for col in cols]
-        return None
+                k = r
+                break
+            baby[heights] = r
+        else:
+            cols, heights = tuple(zip(*(self**b).rows)), ones
+            for top in range(b, cap + b, b):  # G_j = h_top meets h_r: k = top - r
+                heights = tuple([sum(map(mul, heights, col)) for col in cols])
+                if heights in baby:
+                    k = top - baby[heights]
+                    break
+        if k is None:
+            return None
+        if not (self**k).is_identity:
+            raise RuntimeError(f"w^{k} has all heights 1 but is not e")
+        return k
 
     def power_lengths(self, n_max: int, budget: int = DEFAULT_BUDGET) -> Iterator[int]:
-        """The lengths of w, w^2, ..., w^n_max, each power formed when its
-        length is read: one product and one peel a power.
+        """The lengths of w, w^2, ..., w^n_max, each computed when it is read.
 
-        The n_max powers are charged to the element budget before any
-        product is formed; past it this raises :class:`BudgetExceededError`.
+        With N(x) = {beta > 0 : x beta < 0}, so that |N(x)| = length(x),
+        length(w^k) = length(w^(k-1)) + length(w) - 2 #{beta in N(w^-1) :
+        w^(k-1) beta < 0}.  N(w^-1) holds the roots s_i1 ... s_i(j-1)
+        alpha_ij of a reduced word i1 ... il of w, and the l vectors
+        w^(k-1) beta are carried forward by one application of w a power,
+        as l sparse generator steps.  No power is formed or peeled, except
+        that w^k is formed by square-and-multiply and peeled to recheck the
+        first k with length(w^k) != k length(w), where ``is_straight``
+        stops, and k = n_max, where a full read stops.
+
+        The n_max powers are charged to the element budget before any step;
+        past it this raises :class:`BudgetExceededError`.
         """
         if n_max > budget:
             raise BudgetExceededError("power steps", budget)
-        powers = accumulate((self for _ in range(n_max)), mul)  # w, w^2, ...
-        return (w.length for w in powers)
+        return self._power_lengths(n_max)
+
+    def _power_lengths(self, n_max: int) -> Iterator[int]:
+        group, word = self.group, self.word
+        ell, prefix, roots = len(word), group._identity_rows, []
+        for i in word:  # roots[j] = s_i1 ... s_i(j-1) alpha_ij
+            roots.append(column(prefix, i))
+            prefix = group._right_mul_gen(prefix, i)
+        carried = tuple(zip(*roots))  # column j: w^(k-1) roots[j]
+        length, straight = ell, True
+        for k in range(1, n_max + 1):
+            if k > 1:
+                for i in reversed(word):
+                    carried = group._left_mul_gen(i, carried)
+                length += ell - 2 * sum(root_sign(beta) < 0 for beta in zip(*carried))
+            if k == n_max or (straight and length != k * ell):
+                straight = False
+                if (self**k).length != length:
+                    raise RuntimeError(f"length of w^{k} is not {length}")
+            yield length
 
     def is_straight(self, n_max: int, budget: int = DEFAULT_BUDGET) -> bool:
         """Whether length(w^n) = n * length(w) for all 2 <= n <= n_max.

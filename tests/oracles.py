@@ -234,6 +234,32 @@ def matrix_order(mat, cap):
     return k
 
 
+def height_scan_order(mat, cap):
+    """Multiplicative order of a Weyl group matrix by one step per power.
+
+    Follows the row of column sums (the heights of the images of the
+    simple roots) of mat^k for k = 1 .. cap; the identity is the only
+    element whose row is all ones.  None past the cap.
+    """
+    n = len(mat)
+    ones = [1] * n
+    heights = [sum(mat[r][c] for r in range(n)) for c in range(n)]
+    for k in range(1, cap + 1):
+        if heights == ones:
+            return k
+        heights = [sum(heights[r] * mat[r][c] for r in range(n)) for c in range(n)]
+    return None
+
+
+def product_power_lengths(gcm, mat, n_max):
+    """Lengths of w, w^2, ..., w^n_max: one dense product and one peel a power."""
+    power, lengths = eye(len(mat)), []
+    for _ in range(n_max):
+        power = mul(power, mat)
+        lengths.append(len(peel_word(gcm, power)))
+    return lengths
+
+
 def orbit_positive_roots(gcm, radius, max_height):
     """Positive real roots of height <= max_height, by orbit of the basis.
 

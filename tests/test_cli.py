@@ -48,6 +48,14 @@ def finite_a_text(n):
     )
 
 
+def affine_e8_text():
+    """Plain-rows text of affine E8: the chain 1-...-8 with 9 joined to 6."""
+    rows = [[2 if i == j else 0 for j in range(9)] for i in range(9)]
+    for i, j in [(k, k + 1) for k in range(7)] + [(5, 8)]:
+        rows[i][j] = rows[j][i] = -1
+    return "".join(" ".join(map(str, row)) + "\n" for row in rows)
+
+
 def affine_a_text(n):
     """Plain-rows text of the Cartan matrix of affine type A of rank n."""
     return "".join(
@@ -358,11 +366,32 @@ class TestExitCodes:
         assert json.loads(proc.stdout)["payload"]["components"][0]["type"] == "finite"
 
     def test_order_of_affine_a8_coxeter_element_is_quick(self):
-        # rank 9, so the order scan runs to the bound 9! = 362,880
+        # rank 9, so the order search runs to the bound 9! = 362,880: about
+        # 600 baby and 600 giant steps
+        start = time.perf_counter()
         proc = run_km("weyl", "word", "-", "--word", "1,2,3,4,5,6,7,8,9",
                       stdin=affine_a_text(9), timeout=20)
+        elapsed = time.perf_counter() - start
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["payload"]["order"] is None
+        assert elapsed < 1, elapsed
+
+    @pytest.mark.parametrize("text, rank, n", [
+        (affine_e8_text(), 9, 1000),
+        (affine_a_text(30), 30, 200),
+    ], ids=["affine_e8", "affine_a30"])
+    def test_power_lengths_of_coxeter_word_are_quick(self, text, rank, n):
+        # one application of w a power, no power formed but the recheck
+        word = ",".join(map(str, range(1, rank + 1)))
+        start = time.perf_counter()
+        proc = run_km("weyl", "straight", "-", "--word", word, "--n", str(n),
+                      stdin=text, timeout=20)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)["payload"]
+        assert payload["power_lengths"] == [rank * k for k in range(1, n + 1)]
+        assert payload["is_straight_up_to_n"] is True
+        assert elapsed < 1, elapsed
 
     @pytest.mark.parametrize("n, word, order", [(40, "1", 2), (16, "1,2", 3), (20, "1,2", 3)])
     def test_order_of_finite_a_word_is_quick(self, n, word, order):
@@ -956,11 +985,7 @@ class TestWeylCommands:
 
     def test_affine_e8_roots_to_height_60(self):
         # real roots alpha + n delta, ht(delta) = 30: 240 per 30 heights
-        rows = [[2 if i == j else 0 for j in range(9)] for i in range(9)]
-        for i, j in [(k, k + 1) for k in range(7)] + [(5, 8)]:
-            rows[i][j] = rows[j][i] = -1
-        text = "".join(" ".join(map(str, row)) + "\n" for row in rows)
-        proc = run_km("roots", "-", "--max-height", "60", stdin=text, timeout=20)
+        proc = run_km("roots", "-", "--max-height", "60", stdin=affine_e8_text(), timeout=20)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["payload"]["count"] == 480
 

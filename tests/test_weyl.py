@@ -58,6 +58,15 @@ def assert_order_matches_oracle(w):
     return expected
 
 
+A_SUM = oracles.direct_sum(*(finite_a(n) for n in (1, 2, 4, 6, 10)))
+
+
+def baby_steps(w):
+    """The b of order()'s baby-step giant-step search for w."""
+    cap = w.group.diagram.max_finite_order(w.support)
+    return min(math.isqrt(cap - 1) + 1, 1024)
+
+
 def power_products(n):
     """Products that left-to-right square-and-multiply spends on w**n."""
     return n.bit_length() + bin(n).count("1") - 2 if n else 0
@@ -376,16 +385,44 @@ class TestOrder:
         assert_order_matches_oracle(group(rows).from_word(k % n for k in word))
 
     def test_product_count(self, count_products):
+        # an order found in the baby phase costs its recheck; the giant phase
+        # first forms w^b; infinite order costs w^b alone
         cases = [(AFF1, [0, 1]), (affine_a(4), range(5)), (A3, [0, 1, 2]),
-                 (B2, [0, 1]), (A2, [0]), (A2, [])]
+                 (B2, [0, 1]), (A2, [0]), (A2, []), (finite_a(10), range(10)),
+                 (A_SUM, range(23))]
+        phases = []
         for rows, word in cases:
             w = group(rows).from_word(word)
+            b = baby_steps(w)
             count_products.clear()
             order = w.order()
             if order is None:
-                assert count_products == []
+                phases.append("infinite")
+                expected = power_products(b)
+            elif order < b:
+                phases.append("baby")
+                expected = power_products(order)
             else:
-                assert len(count_products) == power_products(order), (rows, order)
+                phases.append("giant")
+                expected = power_products(b) + power_products(order)
+            assert len(count_products) == expected, (rows, order, b)
+        # a reflection has cap 2, so b = 2 and its order is met by a giant step
+        assert phases == ["infinite", "infinite", "baby", "giant", "giant", "giant",
+                          "baby", "giant"]
+
+    def test_orders_with_the_full_table(self):
+        # A1 + A2 + A4 + A6 + A10: the cap is |W|, so b = 1024, and the
+        # Coxeter element has order lcm(2, 3, 5, 7, 11) = 2310 > b, met by a
+        # giant step; A10's Coxeter element, of order 11, by a baby step
+        w = group(A_SUM).from_word(range(23))
+        assert baby_steps(w) == 1024
+        assert w.order() == 2310
+        assert (w**2310).is_identity
+        for p in (2, 3, 5, 7, 11):
+            assert not (w ** (2310 // p)).is_identity, p
+        w = group(finite_a(10)).from_word(range(10))
+        assert baby_steps(w) == 1024
+        assert w.order() == 11
 
     def test_power_product_count(self, count_products):
         w = group(AFF2).from_word([0, 1, 2])
@@ -477,7 +514,8 @@ class TestStraightness:
                 W.generator(0).is_straight(n, budget=5)
 
     def test_is_straight_stops_at_the_first_failing_power(self, monkeypatch):
-        # one product decides an involution, however large n_max is: this is
+        # one product decides an involution, however large n_max is: the
+        # recheck of w^2, the first non-straight power.  This is
         # find_j_regular's cost per rejected candidate
         products = []
         mul = weyl.WeylElement.__mul__
@@ -487,8 +525,29 @@ class TestStraightness:
             return mul(a, b)
 
         monkeypatch.setattr(weyl.WeylElement, "__mul__", counting)
-        assert not group(AFF1).generator(0).is_straight(50)
-        assert len(products) == 1
+        s = group(AFF1).generator(0)
+        for n in (2, 50, 10**6):
+            products.clear()
+            assert not s.is_straight(n)
+            assert len(products) == 1 == power_products(2), n
+        # a full read also rechecks the last power
+        products.clear()
+        assert list(s.power_lengths(50)) == [1, 0] * 25
+        assert len(products) == power_products(2) + power_products(50)
+
+    def test_power_lengths_form_no_power_but_the_recheck(self, count_products):
+        t = group(AFF2).from_word([0, 1, 0, 2])
+        assert list(t.power_lengths(20)) == [4 * k for k in range(1, 21)]
+        assert len(count_products) == power_products(20)
+
+    def test_power_lengths_recheck_refuses_a_wrong_length(self, monkeypatch):
+        w = group(AFF1).from_word([0, 1])
+        assert w.word == (0, 1)  # peeled before the peel is broken
+        monkeypatch.setattr(weyl.WeylElement, "reduced_word", lambda self: ())
+        lengths = w.power_lengths(3)
+        assert next(lengths) == 2 and next(lengths) == 4
+        with pytest.raises(RuntimeError, match="length of w\\^3 is not 6"):
+            next(lengths)
 
 
 KERNEL_GCMS = oracles.kernel_gcms(seed=10)
@@ -584,3 +643,66 @@ class TestSparseKernel:
         assert len(W.ball(4)) > 1 and len(W.ball(4, generators=[0, 2, 3])) > 1
         assert W.longest_element({1, 2, 3}).length == 6
         assert count_products == []
+
+
+def complete(n, a):
+    return [[2 if i == j else a for j in range(n)] for i in range(n)]
+
+
+POWER_GCMS = KERNEL_GCMS + [complete(n, -2) for n in (3, 4, 5)] + [A2, B2, A3, finite_a(4)]
+
+
+class TestPowerRoutinesAgainstOracles:
+    """order() and power_lengths() against the one-step-a-power oracles."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_order_property_against_height_scan(self, data):
+        rows = data.draw(st.sampled_from(KERNEL_GCMS))
+        word = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=12))
+        w = group(rows).from_word(word)
+        cap = w.group.diagram.max_finite_order(w.support)
+        assert w.order() == oracles.height_scan_order(w.rows, cap), (rows, word)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_power_lengths_property_against_products(self, data):
+        rows = data.draw(st.sampled_from(POWER_GCMS))
+        word = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=8))
+        n = data.draw(st.integers(0, 8))
+        w = group(rows).from_word(word)
+        expected = oracles.product_power_lengths(rows, w.rows, n)
+        assert list(w.power_lengths(n)) == expected, (rows, word, n)
+
+    def test_orders_reach_both_phases(self):
+        rng = random.Random(25)
+        phases = {"baby": 0, "giant": 0, "infinite": 0}
+        for rows in KERNEL_GCMS:
+            for _ in range(12):
+                w = group(rows).from_word(random_word(rng, len(rows), 10))
+                cap = w.group.diagram.max_finite_order(w.support)
+                order = w.order()
+                assert order == oracles.height_scan_order(w.rows, cap), (rows, w.word)
+                phase = ("infinite" if order is None
+                         else "baby" if order < baby_steps(w) else "giant")
+                phases[phase] += 1
+        assert phases == {"baby": 28, "giant": 140, "infinite": 96}
+
+    def test_power_lengths_cover_every_kind_of_word(self):
+        rng = random.Random(26)
+        kinds = {"finite": 0, "straight": 0, "not straight": 0, "complete": 0}
+        for rows in POWER_GCMS:
+            for _ in range(6):
+                w = group(rows).from_word(random_word(rng, len(rows), 8))
+                n = rng.randint(2, 8)
+                lengths = list(w.power_lengths(n))
+                assert lengths == oracles.product_power_lengths(rows, w.rows, n), (rows, w.word)
+                if all(x == -2 for r in rows for x in r if x != 2):
+                    kinds["complete"] += 1
+                if w.order() is not None:
+                    kinds["finite"] += 1
+                elif weyl._straight(lengths):
+                    kinds["straight"] += 1
+                else:
+                    kinds["not straight"] += 1
+        assert kinds == {"finite": 123, "straight": 39, "not straight": 12, "complete": 18}
