@@ -7,8 +7,8 @@ combinatorial predicates; only the combinatorics is computed here.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import accumulate
-from typing import TYPE_CHECKING, NamedTuple
 
 from . import BadInputError
 from .coxeter import (
@@ -17,9 +17,6 @@ from .coxeter import (
     nerve_strong_connectivity,
 )
 from .gcm import GeneralizedCartanMatrix, classify, scalars
-
-if TYPE_CHECKING:  # the reports import it when they run; the verdicts never do
-    from .parabolics import EssentialPoset
 
 
 class NotPrimePowerError(BadInputError):
@@ -80,20 +77,20 @@ def prime_power(q: int) -> tuple[int, int]:
     return p, e
 
 
-class EndsVerdict(NamedTuple):
+class EndsVerdict(namedtuple(
+        "EndsVerdict",
+        "weyl_infinite one_ended graph_strongly_connected nerve_strongly_connected "
+        "nerve_agreement witness")):
     """Number-of-ends facts derived from the diagram.
 
     ``witness`` is None when one-ended or when the Weyl group is finite;
     the empty frozenset means the finite-order graph is disconnected;
     otherwise it is a spherical subset whose removal disconnects the rest.
+
+    Fields: ``witness``: frozenset[int] | None; the others: bool.
     """
 
-    weyl_infinite: bool
-    one_ended: bool
-    graph_strongly_connected: bool
-    nerve_strongly_connected: bool
-    nerve_agreement: bool
-    witness: frozenset[int] | None
+    __slots__ = ()
 
 
 def ends_verdict(gcm: GeneralizedCartanMatrix) -> EndsVerdict:
@@ -117,14 +114,19 @@ def ends_verdict(gcm: GeneralizedCartanMatrix) -> EndsVerdict:
     )
 
 
-class CriterionFailure(NamedTuple):
-    """Why one sufficient criterion did not apply."""
+class CriterionFailure(namedtuple("CriterionFailure", "criterion failed")):
+    """Why one sufficient criterion did not apply.
 
-    criterion: str  # "criterion_i" | "criterion_ii" | "applicability"
-    failed: tuple[str, ...]
+    Fields: ``criterion``: str, one of "criterion_i", "criterion_ii" and
+    "applicability"; ``failed``: tuple[str, ...].
+    """
+
+    __slots__ = ()
 
 
-class IndecomposabilityVerdict(NamedTuple):
+class IndecomposabilityVerdict(namedtuple(
+        "IndecomposabilityVerdict",
+        "q p exponent applicable outcome by reasons checklist")):
     """Local indecomposability of the completed group over F_q.
 
     ``outcome`` is "locally_indecomposable" or "inconclusive"; when
@@ -132,16 +134,13 @@ class IndecomposabilityVerdict(NamedTuple):
     ("finite_type", "criterion_i", "criterion_ii").  Inconclusive verdicts
     carry one failure record per criterion.  The checklist lists every
     hypothesis that was computed, for transparency.
+
+    Fields: ``q``, ``p``, ``exponent``: int; ``applicable``: bool;
+    ``outcome``: str; ``by``: str | None; ``reasons``:
+    tuple[CriterionFailure, ...]; ``checklist``: dict[str, bool].
     """
 
-    q: int
-    p: int
-    exponent: int
-    applicable: bool
-    outcome: str
-    by: str | None
-    reasons: tuple[CriterionFailure, ...]
-    checklist: dict[str, bool]
+    __slots__ = ()
 
 
 def indecomposability_verdict(
@@ -196,19 +195,24 @@ def indecomposability_verdict(
     ])
 
 
-class OpenSubgroupClass(NamedTuple):
-    subset: frozenset[int]
-    class_label: str
-    representative: str
-    description: str
+class OpenSubgroupClass(namedtuple(
+        "OpenSubgroupClass", "subset class_label representative description")):
+    """One commensurability class of open subgroups.
+
+    Fields: ``subset``: frozenset[int]; the others: str.
+    """
+
+    __slots__ = ()
 
 
-class OpenSubgroupReport(NamedTuple):
-    """Commensurability classes of open subgroups, as a rendered poset."""
+class OpenSubgroupReport(namedtuple("OpenSubgroupReport", "poset classes semantics")):
+    """Commensurability classes of open subgroups, as a rendered poset.
 
-    poset: EssentialPoset
-    classes: tuple[OpenSubgroupClass, ...]
-    semantics: tuple[str, ...]
+    Fields: ``poset``: EssentialPoset; ``classes``:
+    tuple[OpenSubgroupClass, ...]; ``semantics``: tuple[str, ...].
+    """
+
+    __slots__ = ()
 
 
 _OPEN_SEMANTICS = (
@@ -250,23 +254,27 @@ def open_subgroup_report(gcm: GeneralizedCartanMatrix) -> OpenSubgroupReport:
     )
 
 
-class SandwichRecord(NamedTuple):
-    """One sandwich P- <= gHg^{-1} <= P for locally normal subgroups."""
+class SandwichRecord(namedtuple(
+        "SandwichRecord",
+        "essential spherical_extra union parabolic statement refined_lower_bound")):
+    """One sandwich P- <= gHg^{-1} <= P for locally normal subgroups.
 
-    essential: frozenset[int]
-    spherical_extra: frozenset[int]
-    union: frozenset[int]
-    parabolic: str
-    statement: str
-    refined_lower_bound: str
+    Fields: ``essential``, ``spherical_extra``, ``union``: frozenset[int];
+    the others: str.
+    """
+
+    __slots__ = ()
 
 
-class StructureReport(NamedTuple):
-    """Locally normal subgroup structure, rendered as checkable text."""
+class StructureReport(namedtuple(
+        "StructureReport", "sandwiches compact_or_open symbols")):
+    """Locally normal subgroup structure, rendered as checkable text.
 
-    sandwiches: tuple[SandwichRecord, ...]
-    compact_or_open: bool
-    symbols: dict[str, str]
+    Fields: ``sandwiches``: tuple[SandwichRecord, ...]; ``compact_or_open``:
+    bool; ``symbols``: dict[str, str].
+    """
+
+    __slots__ = ()
 
 
 _SYMBOLS = {

@@ -25,10 +25,11 @@ Each command is a row of ``COMMANDS``; ``main`` builds every envelope and
 returns the exit code, and ``run``, the `km` entry point, ends the process
 with it.  ``_read_argv`` reads the command line off the row of the command
 it names, with no parser object built, and handlers import the engine
-modules they run, so start-up loads only ``gcm`` (and ``_intmat``);
-``coxeter``, ``weyl``, ``roots``, ``parabolics``, ``analysis`` and
-``catalog`` load with the commands that use them, and ``_help``, the help
-and usage text, with ``-h`` and a refused command line.
+modules they run, so start-up loads only ``gcm``; ``coxeter``, ``weyl``,
+``roots``, ``parabolics``, ``analysis`` and ``catalog`` load with the
+commands that use them, ``_intmat`` with a determinant or a Weyl element,
+and ``_help``, the help and usage text, with ``-h`` and a refused command
+line.
 """
 
 from __future__ import annotations
@@ -37,12 +38,13 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter, itemgetter
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, NamedTuple, NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 from . import DEFAULT_BUDGET, BadInputError, BudgetExceededError, __version__
 from .gcm import GcmValidationError, GeneralizedCartanMatrix, classify, scalars
@@ -66,7 +68,7 @@ def parse_gcm_text(text: str) -> GeneralizedCartanMatrix:
     if stripped[0] in "{[":
         try:
             doc = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
             raise InputError(f"invalid JSON: {exc}") from exc
         if isinstance(doc, list):
             doc = {"matrix": doc}
@@ -91,9 +93,10 @@ def _read_gcm(path: str) -> GeneralizedCartanMatrix:
         return parse_gcm_text(sys.stdin.read())
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_gcm_text(fh.read())
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    return parse_gcm_text(text)
 
 
 def _parse_indices(text: str, rank: int, noun: str) -> list[int]:
@@ -529,20 +532,22 @@ def _catalog(gcm, args):
 # ---------------------------------------------------------------- commands
 
 
-class _Command(NamedTuple):
+class _Command(namedtuple(
+        "_Command", "name handler help options bounded reads_gcm",
+        defaults=((), False, True))):
     """One `km` command.  ``name`` is the wire name; a dash nests it under a
     group ("weyl-word" is ``km weyl word``).  ``options`` are (flag,
     keywords) pairs, in argparse's words: ``type``, ``choices``,
     ``required``, ``default``, ``dest`` and ``help``, and ``nargs="?"`` for
     an optional positional.  Bounded commands warn that their answer only
-    holds up to the stated bounds."""
+    holds up to the stated bounds.
 
-    name: str
-    handler: Callable
-    help: str
-    options: tuple[tuple[str, dict], ...] = ()
-    bounded: bool = False
-    reads_gcm: bool = True
+    Fields: ``name``, ``help``: str; ``handler``: Callable; ``options``:
+    tuple[tuple[str, dict], ...], () by default; ``bounded``: bool, False by
+    default; ``reads_gcm``: bool, True by default.
+    """
+
+    __slots__ = ()
 
 
 def _opt(flag: str, **keywords) -> tuple[str, dict]:

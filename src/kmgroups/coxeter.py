@@ -18,10 +18,11 @@ Edge orders are Python ints, with ``math.inf`` for the infinite order.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import cached_property, reduce
 from collections.abc import Collection, Iterable, Sequence
 from operator import and_
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from . import BadInputError
 from .gcm import _label_set
@@ -77,23 +78,18 @@ class NotSphericalError(BadInputError):
         return f"subset {sorted(i + base for i in self.subset)} is not spherical"
 
 
-class FiniteTypeInfo(NamedTuple):
-    """Classification record for one finite-type connected diagram."""
+class FiniteTypeInfo(namedtuple("FiniteTypeInfo", "name order positive_roots")):
+    """Classification record for one finite-type connected diagram.
 
-    name: str
-    order: int
-    positive_roots: int
+    Fields: ``name``: str; ``order``: int; ``positive_roots``: int.
+    """
 
-
-# Fields of the diagram, which caches derived data: a subclass without
-# __slots__ keeps the __dict__ cached_property writes into; the tuple gives
-# the values.
-class _DiagramFields(NamedTuple):
-    orders: tuple[tuple[float, ...], ...]
-    labels: tuple[str, ...]
+    __slots__ = ()
 
 
-class CoxeterDiagram(_DiagramFields):
+# The diagram caches derived data: without __slots__ it keeps the __dict__
+# cached_property writes into; the tuple gives the values.
+class CoxeterDiagram(namedtuple("CoxeterDiagram", "orders labels")):
     """A Coxeter matrix with its two derived graphs.
 
     ``orders[i][j]`` is the order m_ij of s_i s_j (1 on the diagonal,
@@ -102,6 +98,9 @@ class CoxeterDiagram(_DiagramFields):
 
     * the defining graph, edge iff m_ij >= 3 (used for components), and
     * the finite-order graph, edge iff m_ij < infinity (used for ends).
+
+    Fields: ``orders``: tuple[tuple[float, ...], ...]; ``labels``:
+    tuple[str, ...].
 
     >>> from .gcm import GeneralizedCartanMatrix
     >>> d = coxeter_matrix(GeneralizedCartanMatrix.from_rows([[2, -2], [-2, 2]]))
@@ -360,19 +359,19 @@ class CoxeterDiagram(_DiagramFields):
         return Nerve(rank=self.rank, simplices=self._spherical_subsets)
 
 
-class SubsetDecomposition(NamedTuple):
+class SubsetDecomposition(namedtuple(
+        "SubsetDecomposition", "subset components spherical_part essential_part perp")):
     """Decomposition of a generator subset J.
 
     ``spherical_part`` is the union of the finite-type components of J,
     ``essential_part`` the rest, and ``perp`` the set of all generators
     commuting with everything in J (disjoint from J since m_jj = 1).
+
+    Fields: ``components``: tuple[frozenset[int], ...]; the others:
+    frozenset[int].
     """
 
-    subset: frozenset[int]
-    components: tuple[frozenset[int], ...]
-    spherical_part: frozenset[int]
-    essential_part: frozenset[int]
-    perp: frozenset[int]
+    __slots__ = ()
 
     @property
     def is_spherical(self) -> bool:
@@ -383,14 +382,15 @@ class SubsetDecomposition(NamedTuple):
         return self.spherical_part == frozenset()
 
 
-class Nerve(NamedTuple):
+class Nerve(namedtuple("Nerve", "rank simplices")):
     """All nonempty spherical subsets, ordered by inclusion.
 
     ``simplices`` is sorted by (size, members) and is closed downwards.
+
+    Fields: ``rank``: int; ``simplices``: tuple[frozenset[int], ...].
     """
 
-    rank: int
-    simplices: tuple[frozenset[int], ...]
+    __slots__ = ()
 
     def by_dimension(self) -> dict[int, int]:
         counts: dict[int, int] = {}
@@ -431,17 +431,19 @@ def coxeter_matrix(gcm: GeneralizedCartanMatrix) -> CoxeterDiagram:
     return CoxeterDiagram(orders=orders, labels=gcm.labels)
 
 
-class StrongConnectivity(NamedTuple):
+class StrongConnectivity(namedtuple("StrongConnectivity", "strongly_connected failing_subset")):
     """Outcome of a strong-connectivity check.
 
     ``failing_subset`` is None when strongly connected; the empty frozenset
     means the finite-order graph itself is disconnected; otherwise it is the
     first (by size, then members) spherical subset whose removal disconnects
     the rest.
+
+    Fields: ``strongly_connected``: bool; ``failing_subset``:
+    frozenset[int] | None.
     """
 
-    strongly_connected: bool
-    failing_subset: frozenset[int] | None
+    __slots__ = ()
 
 
 def _separation(

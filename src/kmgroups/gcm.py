@@ -11,13 +11,16 @@ display-only and never used for identity.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from . import BadInputError
-from ._intmat import Matrix, det
 
-if TYPE_CHECKING:  # classify imports coxeter when it runs
+# classify imports coxeter when it runs, and _component_type imports _intmat
+# only for its one determinant
+if TYPE_CHECKING:
+    from ._intmat import Matrix
     from .coxeter import CoxeterDiagram
 
 FINITE = "finite"
@@ -65,11 +68,14 @@ def _label_set(self, subset: Iterable[int]) -> str:
     return "{" + ",".join(map(self.labels.__getitem__, sorted(subset))) + "}"
 
 
-class GeneralizedCartanMatrix(NamedTuple):
+class GeneralizedCartanMatrix(namedtuple("GeneralizedCartanMatrix", "entries labels")):
     """An immutable, validated generalized Cartan matrix.
 
     Build instances with :func:`GeneralizedCartanMatrix.from_rows`, which
     checks the axioms and reports the first violation with its position.
+
+    Fields: ``entries``: Matrix (a tuple of int rows); ``labels``:
+    tuple[str, ...].
 
     >>> a2 = GeneralizedCartanMatrix.from_rows([[2, -1], [-1, 2]])
     >>> a2.rank
@@ -78,8 +84,7 @@ class GeneralizedCartanMatrix(NamedTuple):
     -1
     """
 
-    entries: Matrix
-    labels: tuple[str, ...]
+    __slots__ = ()
 
     @classmethod
     def from_rows(
@@ -163,16 +168,17 @@ class GeneralizedCartanMatrix(NamedTuple):
     label_set = _label_set
 
 
-class GcmTypeVerdict(NamedTuple):
+class GcmTypeVerdict(namedtuple("GcmTypeVerdict", "components types indecomposable")):
     """Per-component type classification of a GCM.
 
     ``types[k]`` is one of ``"finite"``, ``"affine"``, ``"indefinite"`` and
     applies to ``components[k]``.
+
+    Fields: ``components``: tuple[frozenset[int], ...]; ``types``:
+    tuple[str, ...]; ``indecomposable``: bool.
     """
 
-    components: tuple[frozenset[int], ...]
-    types: tuple[str, ...]
-    indecomposable: bool
+    __slots__ = ()
 
     @property
     def all_finite(self) -> bool:
@@ -188,8 +194,11 @@ def _component_type(
     # the one determinant is only taken when all of them are spherical.
     if diagram.is_spherical(comp):
         return FINITE
-    if all(diagram.is_spherical(comp - {i}) for i in comp) and det(gcm.submatrix(comp)) == 0:
-        return AFFINE
+    if all(diagram.is_spherical(comp - {i}) for i in comp):
+        from ._intmat import det
+
+        if det(gcm.submatrix(comp)) == 0:
+            return AFFINE
     return INDEFINITE
 
 
@@ -211,16 +220,17 @@ def classify(gcm: GeneralizedCartanMatrix) -> GcmTypeVerdict:
     return GcmTypeVerdict(components=comps, types=types, indecomposable=len(comps) == 1)
 
 
-class GcmScalars(NamedTuple):
+class GcmScalars(namedtuple("GcmScalars", "max_abs_offdiag two_spherical")):
     """Scalar invariants read off the matrix entries.
 
     ``max_abs_offdiag`` is the largest |a_ij| over i != j (0 for rank 1);
     ``two_spherical`` means every rank-2 principal pair generates a finite
     dihedral group, i.e. a_ij * a_ji <= 3 for all i != j.
+
+    Fields: ``max_abs_offdiag``: int; ``two_spherical``: bool.
     """
 
-    max_abs_offdiag: int
-    two_spherical: bool
+    __slots__ = ()
 
 
 def scalars(gcm: GeneralizedCartanMatrix) -> GcmScalars:

@@ -9,11 +9,12 @@ inclusion of essential parts.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable
 from functools import lru_cache, reduce
 from itertools import chain, repeat
 from operator import or_
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from . import DEFAULT_BUDGET, BadInputError, BudgetExceededError
 from .coxeter import CoxeterDiagram
@@ -57,11 +58,14 @@ def essential_subsets(diagram: CoxeterDiagram) -> tuple[frozenset[int], ...]:
     return EssentialPoset.build(diagram).elements
 
 
-class EssentialPoset(NamedTuple):
-    """Essential subsets ordered by inclusion, with Hasse cover pairs."""
+class EssentialPoset(namedtuple("EssentialPoset", "elements hasse")):
+    """Essential subsets ordered by inclusion, with Hasse cover pairs.
 
-    elements: tuple[frozenset[int], ...]
-    hasse: tuple[tuple[int, int], ...]  # (smaller index, larger index)
+    Fields: ``elements``: tuple[frozenset[int], ...]; ``hasse``:
+    tuple[tuple[int, int], ...], each pair (smaller index, larger index).
+    """
+
+    __slots__ = ()
 
     @classmethod
     @lru_cache(maxsize=1)
@@ -130,14 +134,13 @@ class EssentialPoset(NamedTuple):
         )
 
 
-class DeodharMove(NamedTuple):
-    """One elementary conjugation J -> nu^{-1} J nu of generator subsets."""
+class DeodharMove(namedtuple("DeodharMove", "source s component nu target")):
+    """One elementary conjugation J -> nu^{-1} J nu of generator subsets.
 
-    source: frozenset[int]
-    s: int
-    component: frozenset[int]
-    nu: WeylElement
-    target: frozenset[int]
+    Fields: ``s``: int; ``nu``: WeylElement; the others: frozenset[int].
+    """
+
+    __slots__ = ()
 
 
 def _conjugate_generator_set(
@@ -183,11 +186,13 @@ def deodhar_move(group: WeylGroup, source: Iterable[int], s: int) -> DeodharMove
     return DeodharMove(source=source, s=s, component=component, nu=nu, target=target)
 
 
-class ConjugacyWitness(NamedTuple):
-    """A verified element w with w^{-1} J w = J', plus the move chain."""
+class ConjugacyWitness(namedtuple("ConjugacyWitness", "element moves")):
+    """A verified element w with w^{-1} J w = J', plus the move chain.
 
-    element: WeylElement
-    moves: tuple[DeodharMove, ...]
+    Fields: ``element``: WeylElement; ``moves``: tuple[DeodharMove, ...].
+    """
+
+    __slots__ = ()
 
     @property
     def chain(self) -> tuple[frozenset[int], ...]:
@@ -248,16 +253,17 @@ def normalizer_factors(
     return subset, dec.perp
 
 
-class ClosureCertificate(NamedTuple):
+class ClosureCertificate(namedtuple(
+        "ClosureCertificate",
+        "element conjugator conjugate support essential_support depth")):
     """Best conjugate found within a radius: an upper bound for the
-    parabolic closure, never a proof of minimality."""
+    parabolic closure, never a proof of minimality.
 
-    element: WeylElement
-    conjugator: WeylElement
-    conjugate: WeylElement
-    support: frozenset[int]
-    essential_support: frozenset[int]
-    depth: int
+    Fields: ``element``, ``conjugator``, ``conjugate``: WeylElement;
+    ``support``, ``essential_support``: frozenset[int]; ``depth``: int.
+    """
+
+    __slots__ = ()
 
 
 def parabolic_closure_search(
@@ -289,7 +295,9 @@ def _closure_over(
     return ClosureCertificate(element, v, conj, supp, ess, depth)
 
 
-class JRegularCertificate(NamedTuple):
+class JRegularCertificate(namedtuple(
+        "JRegularCertificate",
+        "element subset torsion_bound power_bound closure root_height roots_checked")):
     """A candidate regular element with all four bounded certificates.
 
     * infinite order, decided against the torsion bound;
@@ -297,15 +305,12 @@ class JRegularCertificate(NamedTuple):
     * parabolic-closure search (within the subset) returned the full subset;
     * no positive real root supported in the subset, up to root_height, is
       fixed by a power <= power_bound.
+
+    Fields: ``element``: WeylElement; ``subset``: frozenset[int];
+    ``closure``: ClosureCertificate; the others: int.
     """
 
-    element: WeylElement
-    subset: frozenset[int]
-    torsion_bound: int
-    power_bound: int
-    closure: ClosureCertificate
-    root_height: int
-    roots_checked: int
+    __slots__ = ()
 
 
 def find_j_regular(

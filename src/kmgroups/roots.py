@@ -10,8 +10,8 @@ exhaustive up to H.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable
-from typing import NamedTuple
 
 from . import DEFAULT_BUDGET, BudgetExceededError
 from .weyl import WeylElement, WeylGroup, root_sign
@@ -21,15 +21,17 @@ class MissingWitnessError(ValueError):
     """The operation needs a root's witness pair (w, i) and none is stored."""
 
 
-class RealRoot(NamedTuple):
+class RealRoot(namedtuple("RealRoot", "coords witness", defaults=(None,))):
     """A real root as exact coordinates; identity is the coordinate vector.
 
     ``witness`` is (w, i) with root = w(alpha_i), kept from the first
     breadth-first discovery; it does not take part in equality or hashing.
+
+    Fields: ``coords``: tuple[int, ...]; ``witness``: tuple[WeylElement,
+    int] | None, None by default.
     """
 
-    coords: tuple[int, ...]
-    witness: tuple[WeylElement, int] | None = None
+    __slots__ = ()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RealRoot):

@@ -628,6 +628,84 @@ def dense_orbit(gcm, source):
 
 
 # ---------------------------------------------------------------------------
+# Growth series by Steinberg's formula: counts of elements by length from
+# the degrees of the finite parabolics, with no element built.
+
+
+def degrees(name):
+    """The degrees of the finite Weyl group of type ``name``, A to G.
+
+    Their product is the group order and the sum of (d - 1) the number of
+    positive roots (Humphreys, "Reflection Groups and Coxeter Groups", 3.7).
+
+    >>> degrees("A3"), degrees("B3"), degrees("D4"), degrees("G2")
+    ((2, 3, 4), (2, 4, 6), (2, 4, 6, 4), (2, 6))
+    """
+    family, n = name[0], int(name[1:])
+    if family == "A":
+        return tuple(range(2, n + 2))
+    if family == "B":
+        return tuple(range(2, 2 * n + 1, 2))
+    if family == "D":
+        return (*range(2, 2 * n - 1, 2), n)
+    return {
+        "E6": (2, 5, 6, 8, 9, 12),
+        "E7": (2, 6, 8, 10, 12, 14, 18),
+        "E8": (2, 8, 12, 14, 18, 20, 24, 30),
+        "F4": (2, 6, 8, 12),
+        "G2": (2, 6),
+    }[name]
+
+
+def series_mul(a, b, length):
+    """The product of two integer power series, up to t^length."""
+    out = [0] * (length + 1)
+    for i, x in enumerate(a[: length + 1]):
+        if x:
+            for j, y in enumerate(b[: length + 1 - i]):
+                out[i + j] += x * y
+    return out
+
+
+def series_inverse(a, length):
+    """1/a up to t^length, for an integer series with a[0] == 1."""
+    assert a[0] == 1
+    out = [1] + [0] * length
+    for k in range(1, length + 1):
+        out[k] = -sum(a[i] * out[k - i] for i in range(1, min(k, len(a) - 1) + 1))
+    return out
+
+
+def growth_series(spherical, length):
+    """The number of elements of each length 0..``length`` of W, by
+    Steinberg's formula 1/W(t) = sum of (-1)^|T| t^N_T / W_T(t) over the
+    spherical T, the empty one included (Steinberg, "Endomorphisms of
+    linear algebraic groups", 1968).  ``spherical`` holds one (|T|,
+    degrees of W_T) pair per T; W_T(t) is the product of the [d]_t =
+    1 + t + ... + t^(d-1) and N_T the sum of the (d - 1).  For a finite W
+    the sum includes T = S, and the series is the whole Poincare
+    polynomial.
+
+    >>> growth_series([(0, ()), (1, (2,)), (1, (2,))], 4)  # affine A1
+    [1, 2, 2, 2, 2]
+    >>> growth_series([(0, ()), (1, (2,)), (1, (2,)), (2, (2, 3))], 4)  # A2
+    [1, 2, 2, 1, 0]
+    """
+    total = [0] * (length + 1)
+    for size, degs in spherical:
+        shift = sum(d - 1 for d in degs)
+        if shift > length:
+            continue
+        poincare = [1]
+        for d in degs:
+            poincare = series_mul(poincare, [1] * d, length)
+        term = series_inverse(poincare, length - shift)
+        for k, x in enumerate(term):
+            total[shift + k] += (-1) ** size * x
+    return series_inverse(total, length)
+
+
+# ---------------------------------------------------------------------------
 # Seeded random inputs.
 
 

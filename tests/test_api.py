@@ -1,6 +1,7 @@
 """The public API of the lazy package, and the value semantics of its records."""
 
 import importlib
+import pickle
 import sys
 from functools import cached_property
 
@@ -121,9 +122,42 @@ def field_values(record):
     return [getattr(record, f) for f in record._fields]
 
 
+# every public record class -> its fields, in order: the wire reads them
+FIELDS = {
+    "ClosureCertificate": ("element", "conjugator", "conjugate", "support",
+                           "essential_support", "depth"),
+    "ConjugacyWitness": ("element", "moves"),
+    "CoxeterDiagram": ("orders", "labels"),
+    "CriterionFailure": ("criterion", "failed"),
+    "DeodharMove": ("source", "s", "component", "nu", "target"),
+    "EndsVerdict": ("weyl_infinite", "one_ended", "graph_strongly_connected",
+                    "nerve_strongly_connected", "nerve_agreement", "witness"),
+    "EssentialPoset": ("elements", "hasse"),
+    "FiniteTypeInfo": ("name", "order", "positive_roots"),
+    "GcmScalars": ("max_abs_offdiag", "two_spherical"),
+    "GcmTypeVerdict": ("components", "types", "indecomposable"),
+    "GeneralizedCartanMatrix": ("entries", "labels"),
+    "IndecomposabilityVerdict": ("q", "p", "exponent", "applicable", "outcome", "by",
+                                 "reasons", "checklist"),
+    "JRegularCertificate": ("element", "subset", "torsion_bound", "power_bound",
+                            "closure", "root_height", "roots_checked"),
+    "Nerve": ("rank", "simplices"),
+    "OpenSubgroupClass": ("subset", "class_label", "representative", "description"),
+    "OpenSubgroupReport": ("poset", "classes", "semantics"),
+    "RealRoot": ("coords", "witness"),
+    "SandwichRecord": ("essential", "spherical_extra", "union", "parabolic", "statement",
+                       "refined_lower_bound"),
+    "StrongConnectivity": ("strongly_connected", "failing_subset"),
+    "StructureReport": ("sandwiches", "compact_or_open", "symbols"),
+    "SubsetDecomposition": ("subset", "components", "spherical_part", "essential_part",
+                            "perp"),
+}
+
+
 class TestRecords:
     def test_every_record_type_is_covered(self):
         assert len(RECORDS) == 22
+        assert set(RECORDS) == {*FIELDS, "_Command"}
 
     @pytest.mark.parametrize("name", sorted(RECORDS))
     def test_every_record_is_a_tuple_with_fields(self, name):
@@ -163,6 +197,23 @@ class TestRecords:
         values = field_values(record)
         values[0] = "changed"
         assert type(record)(*values) != record
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_public_record_fields_replace_and_pickle(self, name):
+        record = RECORDS[name]
+        kind = getattr(kmgroups, name)
+        assert type(record) is kind and kind._fields == FIELDS[name]
+        # only the diagram keeps an instance dict, for its cached properties
+        assert hasattr(record, "__dict__") == (name == "CoxeterDiagram")
+        for k, field in enumerate(kind._fields):
+            changed = record._replace(**{field: "changed"})
+            assert type(changed) is kind
+            expected = field_values(record)
+            expected[k] = "changed"
+            assert field_values(changed) == expected
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is kind and copy == record
+        assert field_values(copy) == field_values(record)
 
     def test_pinned_reprs(self):
         assert repr(GcmScalars(2, True)) == (

@@ -190,9 +190,27 @@ class TestExitCodes:
         assert "internal error" not in proc.stderr
         assert proc.stdout == ""
 
+    def test_json_nested_too_deep_is_exit_2(self, tmp_path):
+        # json.loads raises RecursionError past the interpreter's depth
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        proc = run_km("validate", str(deep))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: invalid JSON: ")
+        assert proc.stdout == ""
+
     def test_missing_file_is_exit_2(self):
         proc = run_km("validate", "/nonexistent/x.json")
         assert proc.returncode == 2
+
+    def test_file_not_utf8_is_exit_2(self, tmp_path):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe[\x00[\x002\x00]\x00]\x00")
+        proc = run_km("validate", str(bad))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"error: cannot read {bad}: ")
+        assert "codec can't decode" in proc.stderr
+        assert proc.stdout == ""
 
     def test_bad_set_index_is_exit_2(self, catalog_paths):
         proc = run_km("decompose", catalog_paths["finite_a2"], "--set", "3")

@@ -399,9 +399,61 @@ def test_hand_made_immutability_is_found():
     "path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC))
 )
 def test_records_take_their_immutability_from_the_tuple(path):
-    # a record that caches derived data subclasses a NamedTuple of its
-    # fields; it does not guard assignment by hand
+    # a record that caches derived data subclasses the collections.namedtuple
+    # of its fields and declares no __slots__; it does not guard assignment
+    # by hand
     assert hand_made_immutability(ast.parse(path.read_text())) == []
+
+
+def typing_records(tree):
+    """(line, record) of each class or call that builds a record on
+    ``typing.NamedTuple``, imported by name (under any alias) or read off
+    ``typing``."""
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "typing":
+            names |= {a.asname or a.name for a in node.names if a.name == "NamedTuple"}
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "typing"}
+
+    def is_named_tuple(node):
+        if isinstance(node, ast.Attribute):
+            return (node.attr == "NamedTuple" and isinstance(node.value, ast.Name)
+                    and node.value.id in modules)
+        return isinstance(node, ast.Name) and node.id in names
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(map(is_named_tuple, node.bases)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, ast.Call) and is_named_tuple(node.func):
+            found.append((node.lineno, "call"))
+    return sorted(found)
+
+
+def test_typing_records_are_found():
+    tree = ast.parse(
+        "import typing, typing as t\n"
+        "from typing import NamedTuple, NamedTuple as NT\n"
+        "from collections import namedtuple\n"
+        "class A(NamedTuple): x: int\n"
+        "class B(t.NamedTuple): x: int\n"
+        "class C(namedtuple('C', 'x')): pass\n"
+        "D = NT('D', [('x', int)])\n"
+        "E = typing.NamedTuple('E', x=int)\n"
+        "class F(other.NamedTuple, C): pass\n"
+    )
+    assert typing_records(tree) == [(4, "A"), (5, "B"), (7, "call"), (8, "call")]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC))
+)
+def test_no_record_is_a_typing_named_tuple(path):
+    # typing.NamedTuple calls compile() once per annotated field (each
+    # annotation is a string under ``from __future__ import annotations``),
+    # and every `km` process builds its record classes afresh
+    assert typing_records(ast.parse(path.read_text())) == []
 
 
 def budget_none_tests(tree):

@@ -19,6 +19,8 @@ import pytest
 from kmgroups import cli
 
 HEAVY = {"kmgroups.analysis", "kmgroups.parabolics", "kmgroups.roots"}
+# the integer matrix kernel: a determinant or a Weyl element loads it
+INTMAT = "kmgroups._intmat"
 # what a command line read by argparse costs: it imports gettext, and its
 # first translated message imports locale
 PARSER = {"argparse", "gettext", "locale"}
@@ -49,6 +51,8 @@ NO_COXETER = ("validate", "catalog")
 # the commands that never build a Weyl group element
 NO_WEYL = ("validate", "classify", "coxeter", "decompose", "nerve", "ends", "indec",
            "poset", "report")
+# the commands that, on affine A1, take no determinant and build no Weyl element
+NO_INTMAT = ("validate", "coxeter", "decompose", "nerve", "poset", "catalog")
 
 
 def imported(*args):
@@ -97,7 +101,7 @@ def test_import_cli_loads_no_heavy_engine():
     assert "kmgroups.cli" in names
     assert not names & (
         HEAVY | {"dataclasses", "kmgroups.coxeter", "kmgroups.weyl", "kmgroups.catalog",
-                 "kmgroups._help"}
+                 "kmgroups._help", INTMAT}
     )
     assert not names & PARSER
 
@@ -105,7 +109,7 @@ def test_import_cli_loads_no_heavy_engine():
 def test_public_names_load_only_their_module():
     rc, names = imported("-c", "from kmgroups import classify, GcmScalars")
     assert rc == 0
-    assert not names & HEAVY
+    assert not names & (HEAVY | {INTMAT})
 
 
 @pytest.mark.parametrize("name", LIGHT)
@@ -128,6 +132,17 @@ def test_matrix_only_commands_load_no_coxeter(name, km_modules):
 @pytest.mark.parametrize("name", NO_WEYL)
 def test_structure_commands_load_no_weyl(name, km_modules):
     assert "kmgroups.weyl" not in km_modules(name)
+
+
+@pytest.mark.parametrize("name", NO_INTMAT)
+def test_commands_without_a_determinant_load_no_intmat(name, km_modules):
+    assert INTMAT not in km_modules(name)
+
+
+# classify takes affine A1's one determinant; the rest build Weyl elements
+@pytest.mark.parametrize("name", ["classify", *sorted(set(ARGV) - {*NO_WEYL, "catalog"})])
+def test_determinants_and_weyl_elements_load_intmat(name, km_modules):
+    assert INTMAT in km_modules(name)
 
 
 @pytest.mark.parametrize("name", ("poset", "report"))
