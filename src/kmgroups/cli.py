@@ -23,13 +23,14 @@ are 1-based comma-separated indices, as on the wire.
 
 Each command is a row of ``COMMANDS``; ``main`` builds every envelope and
 returns the exit code, and ``run``, the `km` entry point, ends the process
-with it.  ``_read_argv`` reads the command line off the row of the command
-it names, with no parser object built, and handlers import the engine
-modules they run, so start-up loads only ``gcm``; ``coxeter``, ``weyl``,
-``roots``, ``parabolics``, ``analysis`` and ``catalog`` load with the
-commands that use them, ``_intmat`` with a determinant or a Weyl element,
-and ``_help``, the help and usage text, with ``-h`` and a refused command
-line.
+with it.  ``_read_argv`` reads a plain command line (the command words,
+its positionals and its full ``--flag value`` pairs) off the row of the
+command it names, with no parser built, and gives every other line (help,
+``--version``, prefixes, ``--``, errors) to ``_argparse``, the one place
+argparse is imported.  Handlers import the engine modules they run, so
+start-up loads only ``gcm``; ``coxeter``, ``weyl``, ``roots``,
+``parabolics``, ``analysis`` and ``catalog`` load with the commands that
+use them, and ``_intmat`` with a determinant or a Weyl element.
 """
 
 from __future__ import annotations
@@ -386,16 +387,15 @@ def _indec(gcm, args):
 
 
 def _report(gcm, args):
-    from .analysis import (indecomposability_verdict, locally_normal_report,
-                           open_subgroup_report, prime_power)
+    from .analysis import indecomposability_verdict, locally_normal_report, open_subgroup_report
 
     q = _natural(args.q, "q")
-    prime_power(q)  # fail fast on a bad q
+    indecomposability = indecomposability_verdict(gcm, q)  # first: a bad q fails fast
     return {"q": q}, {
         "open_subgroup_classes": _poset_payload(open_subgroup_report(gcm)),
         "locally_normal": locally_normal_report(gcm),
         "ends": _ends(gcm, args)[1],
-        "indecomposability": indecomposability_verdict(gcm, q),
+        "indecomposability": indecomposability,
     }
 
 
@@ -539,8 +539,10 @@ class _Command(namedtuple(
     group ("weyl-word" is ``km weyl word``).  ``options`` are (flag,
     keywords) pairs, in argparse's words: ``type``, ``choices``,
     ``required``, ``default``, ``dest`` and ``help``, and ``nargs="?"`` for
-    an optional positional.  Bounded commands warn that their answer only
-    holds up to the stated bounds.
+    an optional positional.  ``_plain`` reads a plain line off them, and
+    ``_argparse`` passes them to ``add_argument``; a ``type`` raises
+    ``ValueError`` with the text of the refusal.  Bounded commands warn
+    that their answer only holds up to the stated bounds.
 
     Fields: ``name``, ``help``: str; ``handler``: Callable; ``options``:
     tuple[tuple[str, dict], ...], () by default; ``bounded``: bool, False by
@@ -613,156 +615,109 @@ COMMANDS = (
              reads_gcm=False),
 )
 
-_BY_NAME = {command.name: command for command in COMMANDS}
-_GCM = _opt("gcm")
-_HELP_FLAGS = {"-h": {"action": "help"}, "--help": {"action": "help"}}
-_TOP_FLAGS = {**_HELP_FLAGS, "--version": {"action": "version"}}
+_BY_WORDS = {tuple(command.name.split("-")): command for command in COMMANDS}
+GROUP_HELP = {"weyl": "element arithmetic"}
+GCM_HELP = "matrix file (JSON or plain rows; - for stdin)"
 
 
 # ---------------------------------------------------------------- command line
 
 
 def _read_argv(argv: Sequence[str]) -> tuple[_Command, SimpleNamespace]:
-    """The command ``argv`` names, and its values read off its own row of
-    ``COMMANDS``.
+    """The command ``argv`` names, and its values: read here off the row of
+    ``COMMANDS`` when the line is plain, and by ``_argparse`` otherwise.
 
-    The grammar is argparse's for the same table: ``--flag value``,
-    ``--flag=value`` or a unique prefix of a long flag, in any order with
-    the positionals; a lone ``-`` and a negative number are values, ``--``
-    makes the rest positionals, and the last of a repeated flag wins.
-    ``-h``/``--help`` at every level, and ``--version`` before the command,
-    print to stdout and raise ``SystemExit(0)``.  A malformed line writes a
-    usage line and ``km ...: error: ...`` to stderr and raises
-    ``SystemExit(2)``.
+    A plain line is the command words as a row names them, then, in any
+    order, the row's positionals, none starting with "-" but the lone "-",
+    and its flags spelled out in full, as ``--flag value`` or
+    ``--flag=value``, no value starting with "-" but a lone "-" after
+    ``--flag ``.  Every value passes its ``type`` and ``choices``, every
+    required argument is given, and the last of a repeated flag wins.
+    argparse reads such a line the same way, and `km`'s traffic is plain.
     """
-    words, extras, tokens = [], [], list(argv)
-    while (command := _BY_NAME.get("-".join(words))) is None:
-        tokens = _read(words, None, tokens, extras)
-    values = _read(words, command, tokens, extras)
-    if extras:
-        _fail([], "unrecognized arguments: " + " ".join(extras))
+    command = _BY_WORDS.get(tuple(argv[:1])) or _BY_WORDS.get(tuple(argv[:2]))
+    values = None if command is None else _plain(command, argv[command.name.count("-") + 1:])
+    if values is None:
+        return _argparse(argv)
     return command, SimpleNamespace(**values)
 
 
-def _read(words: list[str], command: _Command | None, tokens: list[str],
-          extras: list[str]) -> list[str] | dict:
-    """One level of the command line after ``words``.  Before the command
-    (``command`` None) it reads the next word, appends it to ``words`` and
-    returns the tokens after it; at the command it returns the value of
-    each positional and flag.  Unknown flags and surplus positionals go to
-    ``extras``, to be refused once help had its chance."""
-    if command is None:
-        flags = _HELP_FLAGS if words else _TOP_FLAGS
-        positionals, options = [("command", {})], ()
-    else:
-        flags = {**_HELP_FLAGS, **{f: kw for f, kw in command.options if f[0] == "-"}}
-        positionals = [_GCM] * command.reads_gcm + [o for o in command.options if o[0][0] != "-"]
-        options = command.options
-    # every flag up to "--" is read before any acts, as argparse does, so
-    # an ambiguous prefix is refused even after a help flag
-    end = tokens.index("--") if "--" in tokens else len(tokens)
-    reads = [_flag(words, t, flags) for t in tokens[:end]] + [None] * (len(tokens) - end)
-    if command is not None and end < len(tokens):  # the command drops its "--"
-        tokens, reads = tokens[:end] + tokens[end + 1:], reads[:end] + reads[end + 1:]
-    values = {_dest(f, kw): kw.get("default") for f, kw in (*positionals, *options)}
-    given, seen, k = [], set(), 0
-    while k < len(tokens):
-        token, read = tokens[k], reads[k]
-        k += 1
-        if read is None and command is None:  # a command, or a group of commands
-            path = "-".join([*words, token])
-            if "-" in token or not any(n == path or n.startswith(path + "-") for n in _BY_NAME):
-                _fail(words, f"argument command: invalid choice: {token!r}")
-            words.append(token)
-            return tokens[k:]
-        if read is None:
+def _plain(command: _Command, tokens: Sequence[str]) -> dict | None:
+    """The values of ``command`` read off ``tokens``, the line after its
+    words, or None if the line is not plain."""
+    arguments = _arguments(command)
+    flags = {f: kw for f, kw in arguments if f[0] == "-"}
+    positionals = [(f, kw) for f, kw in arguments if f[0] != "-"]
+    values = {_dest(f, kw): kw.get("default") for f, kw in arguments}
+    given, seen, tokens = [], set(), iter(tokens)
+    for token in tokens:
+        if token[:1] != "-" or token == "-":
             given.append(token)
-        elif read[0] is None:
-            extras.append(token)
-        else:
-            flag, value = read
-            if "action" in flags[flag]:
-                _act(words, flag, value)
-            if value is None:
-                if k == len(tokens) or reads[k] is not None:
-                    _fail(words, f"argument {flag}: expected one argument")
-                value, k = tokens[k], k + 1
-            values[_dest(flag, flags[flag])] = _value(words, flag, flags[flag], value)
-            seen.add(flag)
+            continue
+        flag, eq, text = token.partition("=")
+        text = text if eq else next(tokens, "--")  # no value left: not plain
+        if flag not in flags or text[:1] == "-" and (eq or text != "-"):
+            return None
+        keywords = flags[flag]
+        try:
+            value = keywords.get("type", str)(text)
+        except ValueError:
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        values[_dest(flag, keywords)] = value
+        seen.add(flag)
+    required = sum("nargs" not in kw for _, kw in positionals)
+    if not required <= len(given) <= len(positionals):
+        return None
+    if any(kw.get("required") and f not in seen for f, kw in flags.items()):
+        return None
     for (name, keywords), token in zip(positionals, given):
         values[_dest(name, keywords)] = token
-    extras += given[len(positionals):]
-    missing = [name for name, kw in positionals[len(given):] if "nargs" not in kw]
-    missing += [f for f, kw in options if kw.get("required") and f not in seen]
-    if missing:
-        _fail(words, "the following arguments are required: " + ", ".join(missing))
     return values
 
 
-def _flag(words: list[str], token: str, flags: dict
-          ) -> tuple[str | None, str | None] | None:
-    """``token`` as argparse reads it against ``flags``: None for a
-    positional, else the flag (None for an unknown one) and the value
-    attached to it (None if none).  An exact flag comes first, then
-    ``flag=value``, then a unique prefix of a long flag; ``-hX`` attaches
-    ``X`` to ``-h``.  A lone ``-`` or ``--``, a negative number (digits
-    with at most one point, a digit last) and an unknown token holding a
-    space are positionals."""
-    if token[:1] != "-" or token in ("-", "--"):
-        return None
-    if token in flags:
-        return token, None
-    name, eq, value = token.partition("=")
-    if eq and name in flags:
-        return name, value
-    if token[1] == "-":
-        matches = [f for f in flags if f.startswith(name)]
-        value = value if eq else None
-    else:
-        matches = [f for f in flags if f == token[:2]]
-        value = token[2:]
-    if len(matches) > 1:
-        _fail(words, f"ambiguous option: {token} could match {', '.join(matches)}")
-    if matches:
-        return matches[0], value
-    if " " in token or token[1:].replace(".", "", 1).isdecimal() and token[-1] != ".":
-        return None
-    return None, None
+def _argparse(argv: Sequence[str]) -> tuple[_Command, SimpleNamespace]:
+    """``argv`` read by argparse on the tree of ``COMMANDS``: help, a
+    version, a refusal, and the lines that are not plain (a flag prefix,
+    ``--``, a negative number as a value).  argparse prints help or the
+    version and raises ``SystemExit(0)``, or a usage line and an error and
+    raises ``SystemExit(2)``; a line it accepts gives its row and values.
+    argparse loads only here, so the plain traffic never imports it."""
+    import argparse
+
+    def typed(kind: Callable) -> Callable:
+        def read(text: str):
+            try:
+                return kind(text)
+            except ValueError as exc:  # argparse prints this text, not its own
+                raise argparse.ArgumentTypeError(str(exc)) from None
+        return read
+
+    parser = argparse.ArgumentParser(
+        prog="km", description="Combinatorial invariants of a generalized Cartan matrix")
+    parser.add_argument("--version", action="version", version=f"km {__version__}")
+    subparsers = {(): parser.add_subparsers(dest="command", required=True)}
+    for words, command in _BY_WORDS.items():
+        group = words[:-1]
+        if group not in subparsers:
+            parent = subparsers[()].add_parser(group[0], help=GROUP_HELP[group[0]])
+            subparsers[group] = parent.add_subparsers(dest=f"{group[0]}_command", required=True)
+        sub = subparsers[group].add_parser(words[-1], help=command.help)
+        for flag, keywords in _arguments(command):
+            if "type" in keywords:
+                keywords = {**keywords, "type": typed(keywords["type"])}
+            sub.add_argument(flag, **keywords)
+        sub.set_defaults(row=command)
+    args = parser.parse_args(argv)
+    dests = [_dest(f, kw) for f, kw in _arguments(args.row)]
+    return args.row, SimpleNamespace(**{d: getattr(args, d) for d in dests})
 
 
-def _value(words: list[str], flag: str, keywords: dict, text: str):
-    """``text`` through the ``type`` and ``choices`` of ``flag``."""
-    kind, choices = keywords.get("type"), keywords.get("choices")
-    try:
-        value = text if kind is None else kind(text)
-    except ValueError as exc:
-        _fail(words, f"argument {flag}: {exc}")
-    if choices is not None and value not in choices:
-        _fail(words, f"argument {flag}: invalid choice: {value!r} "
-                     f"(choose from {', '.join(map(repr, choices))})")
-    return value
-
-
-def _act(words: list[str], flag: str, value: str | None) -> NoReturn:
-    """Print the help of ``km`` followed by ``words``, or the version."""
-    if value is not None:
-        _fail(words, f"argument {flag}: ignored explicit argument {value!r}")
-    if flag == "--version":
-        sys.stdout.write(f"km {__version__}\n")
-    else:
-        from . import _help
-
-        sys.stdout.write(_help.text(COMMANDS, words))
-    raise SystemExit(0)
-
-
-def _fail(words: list[str], message: str) -> NoReturn:
-    """Refuse a malformed command line: usage and error to stderr, exit 2."""
-    from . import _help
-
-    prog = " ".join(["km", *words])
-    sys.stderr.write(f"{_help.usage(COMMANDS, words)}\n{prog}: error: {message}\n")
-    raise SystemExit(2)
+def _arguments(command: _Command) -> list[tuple[str, dict]]:
+    """The positionals and flags of ``command``: ``gcm`` first when it
+    reads a matrix, then its ``options``."""
+    return [("gcm", {"help": GCM_HELP})] * command.reads_gcm + list(command.options)
 
 
 def _dest(flag: str, keywords: dict) -> str:

@@ -194,12 +194,6 @@ class ConjugacyWitness(namedtuple("ConjugacyWitness", "element moves")):
 
     __slots__ = ()
 
-    @property
-    def chain(self) -> tuple[frozenset[int], ...]:
-        if not self.moves:
-            return ()
-        return (self.moves[0].source,) + tuple(m.target for m in self.moves)
-
 
 def standard_conjugacy(
     group: WeylGroup, source: Iterable[int], target: Iterable[int]

@@ -81,9 +81,6 @@ class WeylGroup:
     def generator(self, i: int) -> "WeylElement":
         return self._generators[i]
 
-    def generators(self) -> tuple["WeylElement", ...]:
-        return self._generators
-
     def _right_mul_gen(self, rows: Matrix, k: int) -> Matrix:
         # (w s_k)[i][j] = w[i][j] - w[i][k] * a_kj: a row with w[i][k] = 0
         # is kept, and only the columns j with a_kj != 0 move

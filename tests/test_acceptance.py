@@ -229,7 +229,7 @@ def test_criterion_06_move_verification_and_conjugacy():
     W = WeylGroup(a3)
     witness = standard_conjugacy(W, {0}, {2})
     assert witness is not None
-    assert witness.chain[0] == {0} and witness.chain[-1] == {2}
+    assert witness.moves[0].source == {0} and witness.moves[-1].target == {2}
     assert {m.target for m in witness.moves} >= {frozenset({2})}
     inv = witness.element.inverse()
     assert inv * W.generator(0) * witness.element == W.generator(2)

@@ -18,6 +18,7 @@ import pytest
 import oracles
 from conftest import GOLDEN_DIR, km_payload, run_km
 from golden_cases import CASES
+from test_startup import ARGV
 from test_weyl import KERNEL_GCMS, random_word
 from kmgroups import (ComponentNotSphericalError, GeneralizedCartanMatrix,
                       NotEssentialError, NotPrimePowerError, NotSphericalError, WeylGroup)
@@ -916,15 +917,67 @@ READER_CORPUS = [
     ["weyl", "word", "m.json", "x", "--word", "1"],
     ["decompose", "m.json", "y", "--set", "1"],
     ["catalog", "a", "b"],
+    # one line for each way a line is not plain, so that argparse reads it
+    ["classify", "m.json", "-h"],
+    ["roots", "m.json", "--max-he", "3"],
+    ["decompose", "m.json", "--", "--set"],
+    ["decompose", "m.json", "--set", "-1"],
+    ["decompose", "m.json", "--set=-1"],
+    ["indec", "m.json", "--q"],
+]
+
+# tokens of every kind a command line may hold, for the generated lines
+_SOUP = [
+    "-", "--", "-h", "--help", "--version", "-1", "-x", "--bogus", "x", "", "m.json", "3",
+    "dot", "word", "straight", "--max", "--se", "--set=-1", "--n=1", "--format=xml",
+    *dict.fromkeys(command.name.split("-")[0] for command in cli.COMMANDS),
+    *dict.fromkeys(flag for command in cli.COMMANDS for flag, _ in command.options),
 ]
 
 
+def _generated_lines(seed, count):
+    """``count`` command lines, alternately near-plain and token soups.
+    A near-plain line is a plain line of a random row, with a value each
+    flag takes, given as ``--flag value`` or ``--flag=value`` and shuffled
+    with the positionals, then bent up to twice: a token dropped, repeated
+    or cut to its first four characters (a flag to a prefix), or a soup
+    token put in.  A soup is up to six soup tokens."""
+    rng = random.Random(seed)
+    lines = []
+    for k in range(count):
+        if k % 2:
+            lines.append(rng.choices(_SOUP, k=rng.randrange(7)))
+            continue
+        command = rng.choice(cli.COMMANDS)
+        parts = [["m.json"]] * command.reads_gcm
+        for flag, keywords in command.options:
+            text = keywords.get("choices", ("3" if "type" in keywords else "1,2",))[0]
+            if flag[0] != "-":
+                parts += [["affine_a2"]] * rng.randrange(2)
+            elif keywords.get("required") or rng.randrange(2):
+                parts.append([f"{flag}={text}"] if rng.randrange(3) == 0 else [flag, text])
+        if parts and rng.randrange(2):
+            parts.append(rng.choice(parts))  # a repeated flag: the last wins
+        rng.shuffle(parts)
+        line = command.name.split("-") + [token for part in parts for token in part]
+        for _ in range(rng.randrange(3) if len(line) > 1 else 0):
+            at, edit = rng.randrange(len(line)), rng.randrange(4)
+            if edit == 0:
+                del line[at]
+            elif edit == 1:
+                line[at] = line[at][:4]
+            else:
+                line.insert(at, line[at] if edit == 2 else rng.choice(_SOUP))
+        lines.append(line)
+    return lines
+
+
 class TestNarrowedParser:
-    """``_read_argv`` reads only the row of the command ``argv`` names and
-    builds no parser; on every argv it must exit as the full argparse tree
-    of ``oracles.argparse_parser`` does, write to the same streams, and
-    parse the same values.  Help text is not compared: its layout may
-    differ."""
+    """``_read_argv`` reads a plain line off the row of the command it
+    names, with no parser built, and gives every other line to argparse;
+    on every argv it must exit as the full argparse tree of
+    ``oracles.argparse_parser`` does, write to the same streams, and parse
+    the same values.  Help and error texts are not compared."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -943,12 +996,40 @@ class TestNarrowedParser:
         codes = {_outcome(_read, argv)[0] for argv in READER_CORPUS}
         assert codes == {None, 0, 2}
 
+    def test_matches_the_full_parser_on_generated_lines(self, monkeypatch):
+        read_by_argparse, deferred = cli._argparse, []
+        monkeypatch.setattr(cli, "_argparse",
+                            lambda argv: deferred.append(argv) or read_by_argparse(argv))
+        lines = _generated_lines(27, 1000)
+        outcomes = [_outcome(_read, argv) for argv in lines]
+        assert [argv for argv, got in zip(lines, outcomes)
+                if got != _outcome(_oracle_read, argv)] == []
+        # both readers were reached, and argparse accepted some lines too
+        assert 0 < len(deferred) < len(lines)
+        by_argparse = {*map(tuple, deferred)}
+        assert any(got[0] is None for argv, got in zip(lines, outcomes)
+                   if tuple(argv) in by_argparse)
+
+    def test_the_traffic_is_plain(self, monkeypatch, catalog_paths):
+        # every golden and start-up line is read without argparse
+        lines = [[a.replace("{}", catalog_paths[entry]) if entry else a for a in template]
+                 for _, entry, template in CASES]
+        lines += [[catalog_paths["affine_a1"] if a == "{}" else a for a in argv]
+                  for argv in ARGV.values()]
+
+        def refuse(argv):
+            raise AssertionError(f"not a plain line: {argv}")
+
+        expected = [_outcome(_oracle_read, argv) for argv in lines]
+        monkeypatch.setattr(cli, "_argparse", refuse)
+        assert [_outcome(_read, argv) for argv in lines] == expected
+
     def test_errors_name_the_command_and_the_fault(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["weyl", "straight", "m.json", "--word", "1", "--n", "1"])
         assert exc.value.code == 2
         usage, error = capsys.readouterr().err.splitlines()
-        assert usage == "usage: km weyl straight [-h] gcm --word WORD --n N"
+        assert usage == "usage: km weyl straight [-h] --word WORD --n N gcm"
         assert error == (
             "km weyl straight: error: argument --n: '1' is below 2: the checks cover powers 2..n")
 
@@ -958,7 +1039,7 @@ class TestNarrowedParser:
             cli.main([*words, "--help"])
         assert exc.value.code == 0
         text = capsys.readouterr().out
-        command = cli._BY_NAME.get("-".join(words))
+        command = cli._BY_WORDS.get(tuple(words))
         if command is None:
             names = {c.name.split("-")[len(words)] for c in cli.COMMANDS
                      if c.name.split("-")[:len(words)] == words}

@@ -169,9 +169,17 @@ def test_forbidden_imports_are_found():
     "path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC))
 )
 def test_no_module_imports_argparse(path):
-    # `km` reads its command line off ``cli.COMMANDS``; argparse, with the
-    # gettext and locale it loads, is the reference of the tests only
-    assert forbidden_imports(ast.parse(path.read_text())) == []
+    # `km` reads a plain command line off ``cli.COMMANDS`` itself; argparse,
+    # with the gettext and locale it loads, reads every other line, and is
+    # imported inside ``cli._argparse`` alone
+    tree = ast.parse(path.read_text())
+    allowed = []
+    if path == SRC / "cli.py":
+        reader = next(node for node in tree.body
+                      if isinstance(node, ast.FunctionDef) and node.name == "_argparse")
+        allowed = forbidden_imports(reader)
+        assert [module for _, module in allowed] == ["argparse"]
+    assert forbidden_imports(tree) == allowed
 
 
 def private_definitions(tree):
@@ -242,16 +250,26 @@ def public_definitions(tree):
                 yield (d.name if d is node else f"{node.name}.{d.name}"), d
 
 
+def attributes_read(node):
+    """How often each attribute occurs under ``node``."""
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
 def unreferenced_public(trees):
     """(file, line, qualified name) of each public definition whose name
     nothing outside its own body reads, over a {file: module tree} map.
-    A string, such as an ``_EXPORTS`` entry, is no reference."""
-    everywhere = sum((names_read(t) for t in trees.values()), Counter())
+    A method is reached only by an attribute read: a bare name of the same
+    spelling (``itertools.chain``, a parameter) is no reference, and nor is
+    a string, such as an ``_EXPORTS`` entry."""
+    names = sum((names_read(t) for t in trees.values()), Counter())
+    attributes = sum((attributes_read(t) for t in trees.values()), Counter())
     return sorted(
         (path, d.lineno, name)
         for path, tree in trees.items()
         for name, d in public_definitions(tree)
-        if everywhere[d.name] == names_read(d)[d.name]
+        for everywhere, read in [(attributes, attributes_read) if "." in name
+                                 else (names, names_read)]
+        if everywhere[d.name] == read(d)[d.name]
     )
 
 
@@ -268,13 +286,16 @@ def test_unreferenced_public_routines_are_found():
         "        def inner(): pass\n"
         "        return inner\n"
         "    def _private(self): pass\n"
+        "    def chain(self): pass\n"
         "class Unused: pass\n"
         "Kept().step()\n"
     )
-    other = ast.parse("import main\nmain.used()\n")
+    # a name spelled as a method (a function, a parameter) does not reach it
+    other = ast.parse("import main\nfrom itertools import chain\n"
+                      "main.used(chain, lambda step: step)\n")
     assert unreferenced_public({"main": main, "other": other}) == [
         ("main", 3, "dead"), ("main", 4, "recursive"), ("main", 8, "Kept.orphan"),
-        ("main", 12, "Unused"),
+        ("main", 12, "Kept.chain"), ("main", 13, "Unused"),
     ]
 
 

@@ -284,15 +284,14 @@ class TestStandardConjugacy:
         witness = standard_conjugacy(W, {0, 1}, {0, 1})
         assert witness.element.is_identity
         assert witness.moves == ()
-        assert witness.chain == ()
 
     def test_a3_singleton_chain(self):
         W = group(A3)
         witness = standard_conjugacy(W, {0}, {2})
         assert witness is not None
         # each hop is an elementary move; the chain walks {0} -> ... -> {2}
-        assert witness.chain[0] == {0}
-        assert witness.chain[-1] == {2}
+        assert witness.moves[0].source == {0}
+        assert witness.moves[-1].target == {2}
         inv = witness.element.inverse()
         assert inv * W.generator(0) * witness.element == W.generator(2)
 
@@ -347,7 +346,8 @@ class TestDenseRoute:
                 witness = standard_conjugacy(W, source, target)
                 where = (rows, source, target)
                 assert witness.element.rows == oracles.to_key(element), where
-                assert witness.chain == (chain if target != source else ()), where
+                walk = [m.source for m in witness.moves[:1]] + [m.target for m in witness.moves]
+                assert tuple(walk) == (chain if target != source else ()), where
             same_size = itertools.combinations(range(len(rows)), len(source))
             others = [t for t in map(frozenset, same_size) if t not in orbit]
             for target in others[:: len(others) // 4 + 1]:
