@@ -203,13 +203,16 @@ def standard_conjugacy(
     Returns a verified witness, or None when the move graph is exhausted
     (which settles non-conjugacy for standard subsets).  w^{-1} J w = K is
     an isomorphism of Coxeter diagrams, so sets whose sorted (component
-    size, finite type) lists differ are answered before any move.
+    size, finite type, sorted bond orders) lists differ are answered before
+    any move.
     """
     source, target = frozenset(source), frozenset(target)
     if source == target:
         return ConjugacyWitness(element=group.identity, moves=())
-    shapes = [sorted((len(c), getattr(group.diagram.spherical_type(c), "name", ""))
-                     for c in group.diagram.components(j)) for j in (source, target)]
+    diagram = group.diagram
+    shapes = [sorted((len(c), getattr(diagram._classify(c), "name", ""),
+                      sorted(diagram.orders[i][j] for i in c for j in c if i < j))
+                     for c in diagram.components(j)) for j in (source, target)]
     if shapes[0] != shapes[1]:
         return None
     order, arrival = [source], {source: None}  # subset -> the move that reached it
@@ -278,11 +281,32 @@ def parabolic_closure_search(
 def _closure_over(
     ball: list[WeylElement], element: WeylElement, depth: int
 ) -> ClosureCertificate:
-    """``parabolic_closure_search`` over a ball already built."""
+    """``parabolic_closure_search`` over a ball already built.
+
+    The ball is prefix-closed and in canonical-word order, so v = u s_k, with
+    u's word v's minus its last letter k, comes after u, and v^{-1} w v =
+    s_k (u^{-1} w u) s_k is two generator steps on u's conjugate.  Only the
+    elements shorter than ``depth`` can be parents, so only theirs are kept.
+    """
+    from .weyl import WeylElement
+
+    group, decompose = element.group, element.group.diagram.decompose
+    conjugates = {(): element.rows}  # canonical word -> rows of its conjugate
+    essential = {}  # support -> its essential part
+
     def candidate(v):
-        conj = v.inverse() * element * v
+        word = v.word
+        rows = conjugates.get(word)
+        if rows is None:
+            k = word[-1]
+            rows = group._left_mul_gen(k, group._right_mul_gen(conjugates[word[:-1]], k))
+            if len(word) < depth:
+                conjugates[word] = rows
+        conj = WeylElement(group, rows)
         supp = conj.support
-        ess = element.group.diagram.decompose(supp).essential_part
+        if supp not in essential:
+            essential[supp] = decompose(supp).essential_part
+        ess = essential[supp]
         return (len(ess), len(supp)), v, conj, supp, ess
 
     _, v, conj, supp, ess = min(map(candidate, ball), key=lambda c: c[0])

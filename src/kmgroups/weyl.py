@@ -69,17 +69,13 @@ class WeylGroup:
         )
         self._identity_rows = identity(n)
         self.identity = WeylElement(self, self._identity_rows)
-        self._generators = tuple(
-            WeylElement(self, self._right_mul_gen(self._identity_rows, i))
-            for i in range(n)
-        )
 
     @property
     def rank(self) -> int:
         return self.gcm.rank
 
     def generator(self, i: int) -> "WeylElement":
-        return self._generators[i]
+        return self.from_word((i,))
 
     def _right_mul_gen(self, rows: Matrix, k: int) -> Matrix:
         # (w s_k)[i][j] = w[i][j] - w[i][k] * a_kj: a row with w[i][k] = 0

@@ -303,6 +303,7 @@ def test_unreferenced_public_routines_are_found():
 # each is documented
 DOCUMENTED_API = {
     ("catalog/__init__.py", "load"): "README: the catalog is usable from Python",
+    ("coxeter.py", "CoxeterDiagram.spherical_type"): "README: the library quick start",
     ("roots.py", "reflection_of"): "tests/test_acceptance.py, criterion 08",
     ("gcm.py", "GeneralizedCartanMatrix.entry"): "the class doctest",
     ("weyl.py", "WeylGroup.generator"): "the class doctest",
@@ -345,6 +346,22 @@ def test_conjugacy_routines_make_no_dense_product(name):
         if isinstance(node, ast.FunctionDef) and node.name == name
     )
     assert products(function) == []
+
+
+def test_parabolics_makes_no_dense_product():
+    # moves, witnesses and closure candidates go one generator at a time;
+    # the dense routes of products and inverses live in the tests
+    # (tests/oracles.py, and dense_closure in tests/test_parabolics.py)
+    tree = ast.parse((SRC / "parabolics.py").read_text())
+    assert products(tree) == []
+    inverses = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "inverse"
+    ]
+    assert inverses == []
 
 
 def layer_hooks():

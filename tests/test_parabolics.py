@@ -8,8 +8,10 @@ import pytest
 
 import oracles
 from oracles import Comparison, compare_commensurability
+from kmgroups import parabolics
 from kmgroups import (
     BudgetExceededError,
+    ClosureCertificate,
     ComponentNotSphericalError,
     EssentialPoset,
     GeneralizedCartanMatrix,
@@ -28,6 +30,7 @@ from kmgroups import (
 from kmgroups.parabolics import _conjugate_generator_set
 from test_coxeter import subset_sweep
 from test_gcm import BOND_PAIRS
+from test_weyl import KERNEL_GCMS, random_word
 
 A2 = [[2, -1], [-1, 2]]
 A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
@@ -42,12 +45,59 @@ TWO_BLOCKS = [
 ]
 
 
+def symmetric(n, bonds):
+    """Rows of the rank-n GCM with a_ij = a_ji = a for each (i, j, a) in
+    ``bonds``, and 0 off them."""
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j, a in bonds:
+        rows[i][j] = rows[j][i] = a
+    return rows
+
+
+# the chain 0-1-...-7 with node 8 joined to node 5
+AFF_E8 = symmetric(9, [(i, i + 1, -1) for i in range(7)] + [(5, 8, -1)])
+
+
 def diagram(rows):
     return coxeter_matrix(GeneralizedCartanMatrix.from_rows(rows))
 
 
 def group(rows):
     return WeylGroup(GeneralizedCartanMatrix.from_rows(rows))
+
+
+def dense_closure(rows, word, depth, generators=None):
+    """The closure search the dense way: for each v of the sorted ball,
+    v^{-1} w v by an inverse word and two matrix products; its support is
+    the rows that are not the identity's, and its essential part the union
+    of the support's infinite components.  The first least (essential size,
+    support size) in ball order wins.
+
+    Returns (conjugator word, conjugate matrix key, support, essential
+    support).
+    """
+    n, ident = len(rows), oracles.eye(len(rows))
+    w = oracles.word_matrix(rows, word)
+    essential = {}  # support -> essential part: finite_type is exponential
+    best = None
+    for v_word, v in oracles.sorted_ball(rows, depth, generators):
+        v_inv = oracles.word_matrix(rows, reversed(v_word))
+        conj = oracles.mul(oracles.mul(v_inv, w), v)
+        supp = frozenset(i for i in range(n) if conj[i] != ident[i])
+        if supp not in essential:
+            infinite = [c for c in oracles.coxeter_components(rows, supp)
+                        if not oracles.finite_type(rows, c)]
+            essential[supp] = frozenset().union(*infinite)
+        ess = essential[supp]
+        if best is None or (len(ess), len(supp)) < best[0]:
+            best = (len(ess), len(supp)), (v_word, oracles.to_key(conj), supp, ess)
+    return best[1]
+
+
+def closure_fields(cert):
+    """The four fields of a closure certificate that ``dense_closure`` gives."""
+    return (cert.conjugator.word, cert.conjugate.rows, cert.support,
+            cert.essential_support)
 
 
 class TestEssentialSubsets:
@@ -304,6 +354,22 @@ class TestStandardConjugacy:
         W = group(MIXED)
         assert standard_conjugacy(W, {0}, {1}) is None
 
+    def test_bond_orders_answer_before_any_move(self, monkeypatch):
+        # J = {0, 1, 2, 6} and K = {3, 4, 5, 6} each have a rank-3
+        # component of no finite type and an A1, but the rank-3 ones have
+        # bond orders (2, 3, inf) and (2, inf, inf): no diagram isomorphism
+        rows = symmetric(7, [(0, 1, -2), (1, 2, -1), (3, 4, -2), (4, 5, -2)])
+        calls = []
+        move = parabolics.deodhar_move
+
+        def counting(*args):
+            calls.append(args)
+            return move(*args)
+
+        monkeypatch.setattr(parabolics, "deodhar_move", counting)
+        assert standard_conjugacy(group(rows), {0, 1, 2, 6}, {3, 4, 5, 6}) is None
+        assert calls == []
+
     def test_all_singletons_conjugate_in_affine_triangle(self):
         W = group(AFF2)
         for target in ({1}, {2}):
@@ -468,6 +534,78 @@ class TestClosureSearch:
         cert = parabolic_closure_search(W, W.from_word([0, 1]), depth=3)
         assert cert.support == {0, 1}
         assert cert.essential_support == {0, 1}
+
+    def test_closure_search_makes_no_matrix_product(self, count_products):
+        W = group(AFF_E8)
+        cert = parabolic_closure_search(W, W.from_word(range(9)), depth=4)
+        assert cert.support == frozenset(range(9))  # a Coxeter element's cannot shrink
+        assert count_products == []
+
+
+class TestDenseClosure:
+    """Closure certificates against ``dense_closure``: each candidate built
+    from its parent's conjugate by two generator steps, against an inverse
+    and two products."""
+
+    @staticmethod
+    def assert_matches(rows, word, depth, generators=None):
+        W = group(rows)
+        ball = W.ball(depth, generators=generators)
+        cert = parabolics._closure_over(ball, W.from_word(word), depth)
+        expected = dense_closure(rows, word, depth, generators)
+        assert closure_fields(cert) == expected, (rows, word, depth, generators)
+        return cert
+
+    def test_on_the_kernel_cases(self):
+        rng = random.Random(20261029)
+        for rows in KERNEL_GCMS:
+            n = len(rows)
+            for depth in range(4 if n <= 5 else 3):
+                self.assert_matches(rows, random_word(rng, n, 8), depth)
+
+    def test_on_random_words_in_whole_groups_and_standard_subgroups(self):
+        # half over W, half over a W_J ball with a word in W_J, as
+        # find_j_regular builds them
+        rng = random.Random(20261030)
+        moved = 0
+        for case in range(240):
+            n = rng.randint(2, 6)
+            rows = oracles.random_gcm(rng, n, density=rng.choice([0.3, 0.6, 0.9]), deepest=3)
+            gens = None
+            if case % 2:
+                gens = sorted(rng.sample(range(n), rng.randint(1, n)))
+            # x c x^{-1}: a conjugate of a short word, so the best
+            # conjugator is often a word of several letters
+            x, core = ([rng.choice(gens or range(n)) for _ in range(rng.randint(*span))]
+                       for span in ((1, 3), (0, 4)))
+            word = x + core + x[::-1]
+            cert = self.assert_matches(rows, word, case % 4, gens)
+            moved += cert.conjugator.length > 1
+        assert moved > 5  # some conjugators are words, not one letter
+
+    def test_find_j_regular_certifies_the_same_with_the_dense_route(self, monkeypatch):
+        rng = random.Random(20261031)
+        cases = [(AFF1, {0, 1}, 2, 10, 11, 2), (AFF2, {0, 1, 2}, 4, 6, 12, 3)]
+        while len(cases) < 12:
+            rows = oracles.random_gcm(rng, rng.randint(3, 5), density=0.7, deepest=2)
+            subsets = essential_subsets(diagram(rows))[1:]
+            if subsets:
+                cases.append((rows, set(rng.choice(subsets)), 3, 4, 4, rng.randint(1, 3)))
+        found = 0
+        for rows, subset, max_len, n, height, depth in cases:
+            W = group(rows)
+            expected = find_j_regular(W, subset, max_len, n, height, depth)
+
+            def dense(ball, element, depth):
+                v_word, conj, supp, ess = dense_closure(rows, element.word, depth, sorted(subset))
+                return ClosureCertificate(element, W.from_word(v_word), WeylElement(W, conj),
+                                          supp, ess, depth)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(parabolics, "_closure_over", dense)
+                assert find_j_regular(W, subset, max_len, n, height, depth) == expected, rows
+            found += expected is not None
+        assert found >= 4
 
 
 class TestFindJRegular:

@@ -91,6 +91,13 @@ class TestBasics:
             assert (s * s).is_identity
             assert s.order() == 2
 
+    def test_generator_index_out_of_range_raises(self):
+        # as from_word and ball do: -1 is not read as the last generator
+        W = group(A2)
+        for i in (-1, W.rank):
+            with pytest.raises(IndexError, match=f"generator index {i} out of range"):
+                W.generator(i)
+
     def test_from_word_and_identity(self):
         W = group(A2)
         assert W.from_word([]).is_identity

@@ -4,7 +4,9 @@ Each row is (argv template, catalog entry, sha256 of stdout).  The digests
 were taken from the hand-written renderers that preceded the single wire
 converter in ``kmgroups.cli``, so any change in how a branch is rendered
 (infinite orders, ``null`` fields, unsorted input echoes, dot output) fails
-here.  These rows are kept out of ``golden_cases.py`` on purpose: that
+here.  The ``closure`` and ``jregular`` digests were taken from the closure
+search that built each candidate as v^{-1} w v by dense products, before it
+stepped from the parent's conjugate.  These rows are kept out of ``golden_cases.py`` on purpose: that
 table also feeds the ``small`` benchmark workload.
 """
 
@@ -41,6 +43,13 @@ PINS = [
     # nerve as a dot digraph
     (["nerve", "{}", "--format", "dot"], "finite_a3",
      "47b900ec47774d03fc3149d210c123e7e26437c4ae933d05d4d425e58cf9d8e9"),
+    # a two-letter conjugator: conjugator [2, 1], conjugate [2, 3]
+    (["closure", "{}", "--word", "2,1,2,3,1,2", "--depth", "3"], "affine_a2",
+     "20e0671e151c71adcc2ee4aa298a141a6019346ed2a5c94dfa529bfd32f53a12"),
+    # seven candidates reach the closure check, over a depth-3 ball of W_J
+    (["jregular", "{}", "--set", "1,2,3", "--max-len", "4", "--n", "6",
+      "--max-height", "12", "--depth", "3"], "affine_a2",
+     "cda0492fcb536bd922701e6915e84bd7d55cc2fcdf5f41b7e93744365a9e05f0"),
 ]
 
 
