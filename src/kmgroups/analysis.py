@@ -77,20 +77,16 @@ def prime_power(q: int) -> tuple[int, int]:
     return p, e
 
 
-class EndsVerdict(namedtuple(
-        "EndsVerdict",
-        "weyl_infinite one_ended graph_strongly_connected nerve_strongly_connected "
-        "nerve_agreement witness")):
-    """Number-of-ends facts derived from the diagram.
+EndsVerdict = namedtuple("EndsVerdict", "weyl_infinite one_ended graph_strongly_connected "
+                         "nerve_strongly_connected nerve_agreement witness")
+EndsVerdict.__doc__ = """Number-of-ends facts derived from the diagram.
 
-    ``witness`` is None when one-ended or when the Weyl group is finite;
-    the empty frozenset means the finite-order graph is disconnected;
-    otherwise it is a spherical subset whose removal disconnects the rest.
+``witness`` is None when one-ended or when the Weyl group is finite;
+the empty frozenset means the finite-order graph is disconnected;
+otherwise it is a spherical subset whose removal disconnects the rest.
 
-    Fields: ``witness``: frozenset[int] | None; the others: bool.
-    """
-
-    __slots__ = ()
+Fields: ``witness``: frozenset[int] | None; the others: bool.
+"""
 
 
 def ends_verdict(gcm: GeneralizedCartanMatrix) -> EndsVerdict:
@@ -114,33 +110,28 @@ def ends_verdict(gcm: GeneralizedCartanMatrix) -> EndsVerdict:
     )
 
 
-class CriterionFailure(namedtuple("CriterionFailure", "criterion failed")):
-    """Why one sufficient criterion did not apply.
+CriterionFailure = namedtuple("CriterionFailure", "criterion failed")
+CriterionFailure.__doc__ = """Why one sufficient criterion did not apply.
 
-    Fields: ``criterion``: str, one of "criterion_i", "criterion_ii" and
-    "applicability"; ``failed``: tuple[str, ...].
-    """
-
-    __slots__ = ()
+Fields: ``criterion``: str, one of "criterion_i", "criterion_ii" and
+"applicability"; ``failed``: tuple[str, ...].
+"""
 
 
-class IndecomposabilityVerdict(namedtuple(
-        "IndecomposabilityVerdict",
-        "q p exponent applicable outcome by reasons checklist")):
-    """Local indecomposability of the completed group over F_q.
+IndecomposabilityVerdict = namedtuple(
+    "IndecomposabilityVerdict", "q p exponent applicable outcome by reasons checklist")
+IndecomposabilityVerdict.__doc__ = """Local indecomposability of the completed group over F_q.
 
-    ``outcome`` is "locally_indecomposable" or "inconclusive"; when
-    decomposable-proof criteria apply, ``by`` names the route
-    ("finite_type", "criterion_i", "criterion_ii").  Inconclusive verdicts
-    carry one failure record per criterion.  The checklist lists every
-    hypothesis that was computed, for transparency.
+``outcome`` is "locally_indecomposable" or "inconclusive"; when
+decomposable-proof criteria apply, ``by`` names the route
+("finite_type", "criterion_i", "criterion_ii").  Inconclusive verdicts
+carry one failure record per criterion.  The checklist lists every
+hypothesis that was computed, for transparency.
 
-    Fields: ``q``, ``p``, ``exponent``: int; ``applicable``: bool;
-    ``outcome``: str; ``by``: str | None; ``reasons``:
-    tuple[CriterionFailure, ...]; ``checklist``: dict[str, bool].
-    """
-
-    __slots__ = ()
+Fields: ``q``, ``p``, ``exponent``: int; ``applicable``: bool;
+``outcome``: str; ``by``: str | None; ``reasons``:
+tuple[CriterionFailure, ...]; ``checklist``: dict[str, bool].
+"""
 
 
 def indecomposability_verdict(
@@ -195,24 +186,23 @@ def indecomposability_verdict(
     ])
 
 
-class OpenSubgroupClass(namedtuple(
-        "OpenSubgroupClass", "subset class_label representative description")):
-    """One commensurability class of open subgroups.
+OpenSubgroupClass = namedtuple("OpenSubgroupClass", "set class_label representative description")
+OpenSubgroupClass.__doc__ = """One commensurability class of open subgroups.
 
-    Fields: ``subset``: frozenset[int]; the others: str.
-    """
-
-    __slots__ = ()
+Fields: ``set``: frozenset[int], the essential set; the others: str.
+"""
 
 
-class OpenSubgroupReport(namedtuple("OpenSubgroupReport", "poset classes semantics")):
-    """Commensurability classes of open subgroups, as a rendered poset.
+OpenSubgroupReport = namedtuple("OpenSubgroupReport", "classes hasse semantics")
+OpenSubgroupReport.__doc__ = """Commensurability classes of open subgroups, as a rendered poset.
 
-    Fields: ``poset``: EssentialPoset; ``classes``:
-    tuple[OpenSubgroupClass, ...]; ``semantics``: tuple[str, ...].
-    """
+The fields are the wire's: `km poset` prints the record as it is.
 
-    __slots__ = ()
+Fields: ``classes``: tuple[OpenSubgroupClass, ...], one per element of
+the essential poset, in its order; ``hasse``: tuple[tuple[int, int],
+...], the poset's cover pairs as indices into ``classes``;
+``semantics``: tuple[str, ...].
+"""
 
 
 _OPEN_SEMANTICS = (
@@ -250,31 +240,26 @@ def open_subgroup_report(gcm: GeneralizedCartanMatrix) -> OpenSubgroupReport:
          or "open subgroups commensurable with a conjugate of " + name for name in names],
     )
     return OpenSubgroupReport(
-        poset=poset, classes=tuple(classes), semantics=_OPEN_SEMANTICS
+        classes=tuple(classes), hasse=poset.hasse, semantics=_OPEN_SEMANTICS
     )
 
 
-class SandwichRecord(namedtuple(
-        "SandwichRecord",
-        "essential spherical_extra union parabolic statement refined_lower_bound")):
-    """One sandwich P- <= gHg^{-1} <= P for locally normal subgroups.
+SandwichRecord = namedtuple(
+    "SandwichRecord",
+    "essential spherical_extra union parabolic statement refined_lower_bound")
+SandwichRecord.__doc__ = """One sandwich P- <= gHg^{-1} <= P for locally normal subgroups.
 
-    Fields: ``essential``, ``spherical_extra``, ``union``: frozenset[int];
-    the others: str.
-    """
-
-    __slots__ = ()
+Fields: ``essential``, ``spherical_extra``, ``union``: frozenset[int];
+the others: str.
+"""
 
 
-class StructureReport(namedtuple(
-        "StructureReport", "sandwiches compact_or_open symbols")):
-    """Locally normal subgroup structure, rendered as checkable text.
+StructureReport = namedtuple("StructureReport", "sandwiches compact_or_open symbols")
+StructureReport.__doc__ = """Locally normal subgroup structure, rendered as checkable text.
 
-    Fields: ``sandwiches``: tuple[SandwichRecord, ...]; ``compact_or_open``:
-    bool; ``symbols``: dict[str, str].
-    """
-
-    __slots__ = ()
+Fields: ``sandwiches``: tuple[SandwichRecord, ...]; ``compact_or_open``:
+bool; ``symbols``: dict[str, str].
+"""
 
 
 _SYMBOLS = {

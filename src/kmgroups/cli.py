@@ -158,7 +158,7 @@ def _emit(value, pad: str) -> str:
     gave them pass through unchanged.  One walk writes the text: no JSON
     tree is built, a run of plain ints (a set) is one join, and a list of
     equal int runs (Hasse pairs, matrix rows), of records of one class
-    (sandwiches) or of dicts with one key order (poset classes, roots)
+    (sandwiches, poset classes) or of dicts with one key order (roots)
     fills one template in one step.
     """
     kind = type(value)
@@ -326,29 +326,14 @@ def _decompose(gcm, args):
     }
 
 
-def _poset_payload(report):
-    classes = [
-        {
-            "set": c.subset,
-            "class_label": c.class_label,
-            "representative": c.representative,
-            "description": c.description,
-        }
-        for c in report.classes
-    ]
-    return {
-        "classes": classes, "hasse": report.poset.hasse, "semantics": report.semantics
-    }
-
-
 def _poset(gcm, args):
     from .analysis import open_subgroup_report
 
     report = open_subgroup_report(gcm)
     if args.format == "dot":
         labels = [f"{c.representative} {c.class_label}" for c in report.classes]
-        return _dot("essential_poset", labels, report.poset.hasse)
-    return {}, _poset_payload(report)
+        return _dot("essential_poset", labels, report.hasse)
+    return {}, report
 
 
 def _nerve(gcm, args):
@@ -392,7 +377,7 @@ def _report(gcm, args):
     q = _natural(args.q, "q")
     indecomposability = indecomposability_verdict(gcm, q)  # first: a bad q fails fast
     return {"q": q}, {
-        "open_subgroup_classes": _poset_payload(open_subgroup_report(gcm)),
+        "open_subgroup_classes": open_subgroup_report(gcm),
         "locally_normal": locally_normal_report(gcm),
         "ends": _ends(gcm, args)[1],
         "indecomposability": indecomposability,
@@ -532,24 +517,21 @@ def _catalog(gcm, args):
 # ---------------------------------------------------------------- commands
 
 
-class _Command(namedtuple(
-        "_Command", "name handler help options bounded reads_gcm",
-        defaults=((), False, True))):
-    """One `km` command.  ``name`` is the wire name; a dash nests it under a
-    group ("weyl-word" is ``km weyl word``).  ``options`` are (flag,
-    keywords) pairs, in argparse's words: ``type``, ``choices``,
-    ``required``, ``default``, ``dest`` and ``help``, and ``nargs="?"`` for
-    an optional positional.  ``_plain`` reads a plain line off them, and
-    ``_argparse`` passes them to ``add_argument``; a ``type`` raises
-    ``ValueError`` with the text of the refusal.  Bounded commands warn
-    that their answer only holds up to the stated bounds.
+_Command = namedtuple("_Command", "name handler help options bounded reads_gcm",
+                      defaults=((), False, True))
+_Command.__doc__ = """One `km` command.  ``name`` is the wire name; a dash nests
+it under a group ("weyl-word" is ``km weyl word``).  ``options`` are
+(flag, keywords) pairs, in argparse's words: ``type``, ``choices``,
+``required``, ``default``, ``dest`` and ``help``, and ``nargs="?"`` for
+an optional positional.  ``_plain`` reads a plain line off them, and
+``_argparse`` passes them to ``add_argument``; a ``type`` raises
+``ValueError`` with the text of the refusal.  Bounded commands warn
+that their answer only holds up to the stated bounds.
 
-    Fields: ``name``, ``help``: str; ``handler``: Callable; ``options``:
-    tuple[tuple[str, dict], ...], () by default; ``bounded``: bool, False by
-    default; ``reads_gcm``: bool, True by default.
-    """
-
-    __slots__ = ()
+Fields: ``name``, ``help``: str; ``handler``: Callable; ``options``:
+tuple[tuple[str, dict], ...], () by default; ``bounded``: bool, False by
+default; ``reads_gcm``: bool, True by default.
+"""
 
 
 def _opt(flag: str, **keywords) -> tuple[str, dict]:

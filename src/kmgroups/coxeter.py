@@ -78,13 +78,11 @@ class NotSphericalError(BadInputError):
         return f"subset {sorted(i + base for i in self.subset)} is not spherical"
 
 
-class FiniteTypeInfo(namedtuple("FiniteTypeInfo", "name order positive_roots")):
-    """Classification record for one finite-type connected diagram.
+FiniteTypeInfo = namedtuple("FiniteTypeInfo", "name order positive_roots")
+FiniteTypeInfo.__doc__ = """Classification record for one finite-type connected diagram.
 
-    Fields: ``name``: str; ``order``: int; ``positive_roots``: int.
-    """
-
-    __slots__ = ()
+Fields: ``name``: str; ``order``: int; ``positive_roots``: int.
+"""
 
 
 # The diagram caches derived data: without __slots__ it keeps the __dict__
@@ -431,19 +429,17 @@ def coxeter_matrix(gcm: GeneralizedCartanMatrix) -> CoxeterDiagram:
     return CoxeterDiagram(orders=orders, labels=gcm.labels)
 
 
-class StrongConnectivity(namedtuple("StrongConnectivity", "strongly_connected failing_subset")):
-    """Outcome of a strong-connectivity check.
+StrongConnectivity = namedtuple("StrongConnectivity", "strongly_connected failing_subset")
+StrongConnectivity.__doc__ = """Outcome of a strong-connectivity check.
 
-    ``failing_subset`` is None when strongly connected; the empty frozenset
-    means the finite-order graph itself is disconnected; otherwise it is the
-    first (by size, then members) spherical subset whose removal disconnects
-    the rest.
+``failing_subset`` is None when strongly connected; the empty frozenset
+means the finite-order graph itself is disconnected; otherwise it is the
+first (by size, then members) spherical subset whose removal disconnects
+the rest.
 
-    Fields: ``strongly_connected``: bool; ``failing_subset``:
-    frozenset[int] | None.
-    """
-
-    __slots__ = ()
+Fields: ``strongly_connected``: bool; ``failing_subset``:
+frozenset[int] | None.
+"""
 
 
 def _separation(

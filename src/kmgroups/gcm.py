@@ -220,17 +220,15 @@ def classify(gcm: GeneralizedCartanMatrix) -> GcmTypeVerdict:
     return GcmTypeVerdict(components=comps, types=types, indecomposable=len(comps) == 1)
 
 
-class GcmScalars(namedtuple("GcmScalars", "max_abs_offdiag two_spherical")):
-    """Scalar invariants read off the matrix entries.
+GcmScalars = namedtuple("GcmScalars", "max_abs_offdiag two_spherical")
+GcmScalars.__doc__ = """Scalar invariants read off the matrix entries.
 
-    ``max_abs_offdiag`` is the largest |a_ij| over i != j (0 for rank 1);
-    ``two_spherical`` means every rank-2 principal pair generates a finite
-    dihedral group, i.e. a_ij * a_ji <= 3 for all i != j.
+``max_abs_offdiag`` is the largest |a_ij| over i != j (0 for rank 1);
+``two_spherical`` means every rank-2 principal pair generates a finite
+dihedral group, i.e. a_ij * a_ji <= 3 for all i != j.
 
-    Fields: ``max_abs_offdiag``: int; ``two_spherical``: bool.
-    """
-
-    __slots__ = ()
+Fields: ``max_abs_offdiag``: int; ``two_spherical``: bool.
+"""
 
 
 def scalars(gcm: GeneralizedCartanMatrix) -> GcmScalars:

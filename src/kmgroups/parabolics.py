@@ -134,13 +134,11 @@ class EssentialPoset(namedtuple("EssentialPoset", "elements hasse")):
         )
 
 
-class DeodharMove(namedtuple("DeodharMove", "source s component nu target")):
-    """One elementary conjugation J -> nu^{-1} J nu of generator subsets.
+DeodharMove = namedtuple("DeodharMove", "source s component nu target")
+DeodharMove.__doc__ = """One elementary conjugation J -> nu^{-1} J nu of generator subsets.
 
-    Fields: ``s``: int; ``nu``: WeylElement; the others: frozenset[int].
-    """
-
-    __slots__ = ()
+Fields: ``s``: int; ``nu``: WeylElement; the others: frozenset[int].
+"""
 
 
 def _conjugate_generator_set(
@@ -186,13 +184,11 @@ def deodhar_move(group: WeylGroup, source: Iterable[int], s: int) -> DeodharMove
     return DeodharMove(source=source, s=s, component=component, nu=nu, target=target)
 
 
-class ConjugacyWitness(namedtuple("ConjugacyWitness", "element moves")):
-    """A verified element w with w^{-1} J w = J', plus the move chain.
+ConjugacyWitness = namedtuple("ConjugacyWitness", "element moves")
+ConjugacyWitness.__doc__ = """A verified element w with w^{-1} J w = J', plus the move chain.
 
-    Fields: ``element``: WeylElement; ``moves``: tuple[DeodharMove, ...].
-    """
-
-    __slots__ = ()
+Fields: ``element``: WeylElement; ``moves``: tuple[DeodharMove, ...].
+"""
 
 
 def standard_conjugacy(
@@ -205,6 +201,12 @@ def standard_conjugacy(
     an isomorphism of Coxeter diagrams, so sets whose sorted (component
     size, finite type, sorted bond orders) lists differ are answered before
     any move.
+
+    Each move is built once per (K, s), K the component of J + {s} that
+    holds s: K - {s} lies in J, nu = w_{K - s} w_K depends on (K, s) only,
+    and nu fixes each generator with no defining-graph neighbour in K,
+    which every generator of J - K is.  That is checked when the move is
+    made, so the move of J is the move of K - {s} with J - K kept.
     """
     source, target = frozenset(source), frozenset(target)
     if source == target:
@@ -215,18 +217,26 @@ def standard_conjugacy(
                      for c in diagram.components(j)) for j in (source, target)]
     if shapes[0] != shapes[1]:
         return None
+    table = {}  # (K, s) -> the move of K - {s} across s, None when K is infinite
     order, arrival = [source], {source: None}  # subset -> the move that reached it
     for cur in order:  # breadth first: the list grows while it is read
         for s in sorted(set(range(group.rank)) - cur):
-            try:
-                move = deodhar_move(group, cur, s)
-            except ComponentNotSphericalError:
+            component = next(c for c in diagram.components(cur | {s}) if s in c)
+            if (component, s) not in table:
+                move = None
+                if diagram.is_spherical(component):
+                    move = deodhar_move(group, component - {s}, s)
+                    apart = frozenset(j for j in range(group.rank) if j not in component
+                                      and not diagram._defining_neighbours[j] & component)
+                    if _conjugate_generator_set(group, move.nu, apart) != apart:
+                        raise MoveVerificationError("move element moved a generator apart")
+                table[component, s] = move
+            move = table[component, s]
+            if move is None or (to := cur - component | move.target) in arrival:
                 continue
-            if move.target in arrival:
-                continue
-            arrival[move.target] = move
-            order.append(move.target)
-            if move.target == target:
+            move = arrival[to] = move._replace(source=cur, target=to)
+            order.append(to)
+            if to == target:
                 moves = [move]
                 while (move := arrival[move.source]) is not None:
                     moves.append(move)
@@ -250,17 +260,14 @@ def normalizer_factors(
     return subset, dec.perp
 
 
-class ClosureCertificate(namedtuple(
-        "ClosureCertificate",
-        "element conjugator conjugate support essential_support depth")):
-    """Best conjugate found within a radius: an upper bound for the
-    parabolic closure, never a proof of minimality.
+ClosureCertificate = namedtuple(
+    "ClosureCertificate", "element conjugator conjugate support essential_support depth")
+ClosureCertificate.__doc__ = """Best conjugate found within a radius: an upper bound for the
+parabolic closure, never a proof of minimality.
 
-    Fields: ``element``, ``conjugator``, ``conjugate``: WeylElement;
-    ``support``, ``essential_support``: frozenset[int]; ``depth``: int.
-    """
-
-    __slots__ = ()
+Fields: ``element``, ``conjugator``, ``conjugate``: WeylElement;
+``support``, ``essential_support``: frozenset[int]; ``depth``: int.
+"""
 
 
 def parabolic_closure_search(
@@ -313,22 +320,26 @@ def _closure_over(
     return ClosureCertificate(element, v, conj, supp, ess, depth)
 
 
-class JRegularCertificate(namedtuple(
-        "JRegularCertificate",
-        "element subset torsion_bound power_bound closure root_height roots_checked")):
-    """A candidate regular element with all four bounded certificates.
+JRegularCertificate = namedtuple(
+    "JRegularCertificate",
+    "element subset torsion_bound power_bound closure root_height roots_checked")
+JRegularCertificate.__doc__ = """A candidate regular element with all four bounded certificates.
 
-    * infinite order, decided against the torsion bound;
-    * straightness, checked for powers 2..power_bound;
-    * parabolic-closure search (within the subset) returned the full subset;
-    * no positive real root supported in the subset, up to root_height, is
-      fixed by a power <= power_bound.
+* infinite order, decided against the torsion bound;
+* straightness, checked for powers 2..power_bound;
+* parabolic-closure search (within the subset) returned the full subset;
+* no positive real root supported in the subset, up to root_height, is
+  fixed by a power <= power_bound.
 
-    Fields: ``element``: WeylElement; ``subset``: frozenset[int];
-    ``closure``: ClosureCertificate; the others: int.
-    """
+``closure.conjugator`` is always the identity.  A key is (essential-part
+size, support size), at most (|J|, |J|) in W_J, and J is essential, so the
+support comes out as J only when every conjugate in the ball has the key
+(|J|, |J|); the tie goes to the identity, first in the ball, and the
+conjugate is the element itself.
 
-    __slots__ = ()
+Fields: ``element``: WeylElement; ``subset``: frozenset[int];
+``closure``: ClosureCertificate; the others: int.
+"""
 
 
 def find_j_regular(
@@ -344,9 +355,10 @@ def find_j_regular(
 
     Returns None when no element of length <= max_len passes; the bounds
     make every accepted certificate checkable but never prove that smaller
-    candidates were wrongly rejected at higher bounds.  The power_bound
-    powers are charged to ``budget`` before any candidate is scanned, as
-    ``WeylElement.power_lengths`` charges them, so past it this raises
+    candidates were wrongly rejected at higher bounds.  The roots, the
+    power_bound powers (as ``WeylElement.power_lengths`` charges them), the
+    candidate ball and the closure ball are all charged to ``budget``
+    before any candidate is scanned, so past it this raises
     :class:`BudgetExceededError` whichever candidates the other bounds give.
     """
     from .roots import periodic_roots, positive_real_roots, split_by_support
@@ -357,14 +369,13 @@ def find_j_regular(
     all_roots = positive_real_roots(group, max_height, budget=budget)
     in_subset, _ = split_by_support(all_roots, subset)
     torsion_bound = group.diagram.max_finite_order(group.diagram.index_set)
-    closure_ball = None  # one ball for every candidate that gets that far
-    for w in group.ball(max_len, generators=subset, budget=budget)[1:]:
+    candidates = group.ball(max_len, generators=subset, budget=budget)
+    closure_ball = group.ball(depth, generators=subset, budget=budget)  # one for all
+    for w in candidates[1:]:
         if w.order() is not None:
             continue
         if not w.is_straight(power_bound, budget):
             continue
-        if closure_ball is None:
-            closure_ball = group.ball(depth, generators=subset, budget=budget)
         closure = _closure_over(closure_ball, w, depth)
         if closure.support != subset:
             continue

@@ -196,7 +196,7 @@ class TestOpenSubgroupReport:
         for name, g in catalog_gcms.items():
             report = open_subgroup_report(g)
             subsets = essential_subsets(coxeter_matrix(g))
-            assert tuple(c.subset for c in report.classes) == subsets, name
+            assert tuple(c.set for c in report.classes) == subsets, name
 
     def test_affine_triangle_descriptions(self):
         report = open_subgroup_report(gcm(AFF2))

@@ -142,8 +142,8 @@ FIELDS = {
     "JRegularCertificate": ("element", "subset", "torsion_bound", "power_bound",
                             "closure", "root_height", "roots_checked"),
     "Nerve": ("rank", "simplices"),
-    "OpenSubgroupClass": ("subset", "class_label", "representative", "description"),
-    "OpenSubgroupReport": ("poset", "classes", "semantics"),
+    "OpenSubgroupClass": ("set", "class_label", "representative", "description"),
+    "OpenSubgroupReport": ("classes", "hasse", "semantics"),
     "RealRoot": ("coords", "witness"),
     "SandwichRecord": ("essential", "spherical_extra", "union", "parabolic", "statement",
                        "refined_lower_bound"),

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: envelopes, schema conformance, exit codes, goldens."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -501,6 +502,20 @@ class TestExitCodes:
         assert payload["moves"][-1]["to"] == [38, 39, 40]
         assert elapsed < 5
 
+    def test_conj_of_finite_a16_builds_each_move_once(self):
+        # one move per (component, generator): 60 moves built, not 8,565;
+        # the digest is of the output of one move built per edge
+        start = time.perf_counter()
+        proc = run_km("conj", "-", "--from", "1,3,5,7", "--to", "10,12,14,16",
+                      stdin=finite_a_text(16), timeout=20)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+            "e4b3810b61e62366341c63cb04ed07d691e0fe534a7f204a4ba1cb35bcc0bdaf")
+        payload = json.loads(proc.stdout)["payload"]
+        assert len(payload["moves"]) == 36 and len(payload["witness_word"]) == 72
+        assert elapsed < 1
+
     @pytest.mark.parametrize(
         "n, source, target",
         [(20, "1,2,3", "18,19"), (24, "1,3,5,7,9,11,13,15", "1,2,4,6,8,10,12,14")],
@@ -564,6 +579,18 @@ class TestExitCodes:
         assert cli.main(self._power_argv(catalog_paths, command, n)) == 3
         assert capsys.readouterr().err == (
             "error: budget exceeded: power steps exceeded the element budget of 1000000\n")
+
+    @pytest.mark.parametrize("max_len", ["1", "2"])
+    def test_closure_ball_past_the_budget_is_exit_3(self, catalog_paths, capsys, max_len):
+        # at --max-len 1 no candidate reaches the closure check; the closure
+        # ball is charged before the scan all the same
+        from kmgroups import cli
+
+        argv = ["jregular", catalog_paths["affine_a1"], "--set", "1,2", "--max-len", max_len,
+                "--n", "2", "--max-height", "1", "--depth", "30", "--budget", "20"]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: budget exceeded: element ball exceeded the element budget of 20\n")
 
     @staticmethod
     def _power_argv(catalog_paths, command, n):

@@ -494,6 +494,55 @@ def test_no_record_is_a_typing_named_tuple(path):
     assert typing_records(ast.parse(path.read_text())) == []
 
 
+def bare_records(tree):
+    """(line, class) of each subclass of a ``namedtuple(...)`` call whose
+    body is a docstring and ``__slots__ = ()``, and nothing else."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Call) and called_name(b) == "namedtuple"
+                for b in node.bases)):
+            continue
+        body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+        if (len(body) == 1 and isinstance(body[0], ast.Assign)
+                and [ast.unparse(x) for x in body[0].targets] == ["__slots__"]
+                and ast.unparse(body[0].value) == "()"):
+            found.append((node.lineno, node.name))
+    return sorted(found)
+
+
+def test_bare_records_are_found():
+    tree = ast.parse(
+        "import collections\n"
+        "from collections import namedtuple\n"
+        "class A(namedtuple('A', 'x')):\n"
+        "    'A record.'\n"
+        "    __slots__ = ()\n"
+        "class B(collections.namedtuple('B', 'x')):\n"
+        "    __slots__ = ()\n"
+        "class C(namedtuple('C', 'x')):\n"
+        "    'One method.'\n"
+        "    __slots__ = ()\n"
+        "    def f(self): return self.x\n"
+        "class D(namedtuple('D', 'x')):\n"
+        "    'No __slots__: it keeps an instance dict.'\n"
+        "E = namedtuple('E', 'x')\n"
+        "E.__doc__ = 'A record.'\n"
+        "class F(tuple):\n"
+        "    __slots__ = ()\n"
+    )
+    assert bare_records(tree) == [(3, "A"), (6, "B")]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC))
+)
+def test_records_without_behaviour_are_their_namedtuple(path):
+    # a subclass that adds only a docstring and __slots__ = () is a second
+    # class to build in every process; the namedtuple takes the docstring
+    assert bare_records(ast.parse(path.read_text())) == []
+
+
 def budget_none_tests(tree):
     """(line, function) of each comparison of a parameter named ``budget``
     with None, in the function that takes it or in one nested in it."""

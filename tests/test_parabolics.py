@@ -370,6 +370,25 @@ class TestStandardConjugacy:
         assert standard_conjugacy(group(rows), {0, 1, 2, 6}, {3, 4, 5, 6}) is None
         assert calls == []
 
+    def test_each_move_is_built_once_per_component_and_generator(self, monkeypatch):
+        # the walk from {1,3,5,7} to {10,12,14,16} in A_16 crosses 8,565
+        # edges; each spherical (K, s) on them is built once, as the move
+        # of K - {s}, so every call is a connected set and a neighbour
+        calls = []
+        move = parabolics.deodhar_move
+
+        def counting(W, source, s):
+            calls.append((frozenset(source), s))
+            return move(W, source, s)
+
+        monkeypatch.setattr(parabolics, "deodhar_move", counting)
+        rows = symmetric(16, [(i, i + 1, -1) for i in range(15)])
+        W = group(rows)
+        witness = standard_conjugacy(W, {0, 2, 4, 6}, {9, 11, 13, 15})
+        assert len(witness.moves) == 36 and witness.element.length == 72
+        assert len(calls) == len(set(calls)) == 60
+        assert all(len(W.diagram.components(k | {s})) == 1 for k, s in calls)
+
     def test_all_singletons_conjugate_in_affine_triangle(self):
         W = group(AFF2)
         for target in ({1}, {2}):
@@ -604,6 +623,11 @@ class TestDenseClosure:
             with monkeypatch.context() as patch:
                 patch.setattr(parabolics, "_closure_over", dense)
                 assert find_j_regular(W, subset, max_len, n, height, depth) == expected, rows
+            if expected is not None:  # the identity wins the closure tie
+                closure = expected.closure
+                assert closure.conjugator.is_identity, rows
+                assert closure.conjugate == expected.element, rows
+                assert closure.support == closure.essential_support == subset, rows
             found += expected is not None
         assert found >= 4
 
@@ -653,6 +677,14 @@ class TestFindJRegular:
             find_j_regular(W, {0, 1}, 1, 7, 2, 1, budget=6)
         with pytest.raises(BudgetExceededError, match="power steps"):
             find_j_regular(W, {0, 1}, 1, 10**20, 2, 1)
+
+    def test_closure_ball_is_charged_when_no_candidate_is_tested(self):
+        # both candidates of length 1 are involutions, so none reaches the
+        # closure check; its ball of radius 30 (61 elements) is still built
+        W = group(AFF1)
+        assert find_j_regular(W, {0, 1}, 1, 2, 1, 30, budget=61) is None
+        with pytest.raises(BudgetExceededError, match="element ball"):
+            find_j_regular(W, {0, 1}, 1, 2, 1, 30, budget=20)
 
     def test_search_builds_each_ball_once(self, monkeypatch):
         # the candidate ball and one closure ball, however many candidates
