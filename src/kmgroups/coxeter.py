@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cached_property, reduce
-from collections.abc import Collection, Iterable, Sequence
-from operator import and_
+from functools import cached_property, lru_cache, reduce
+from collections.abc import Iterable, Iterator, Sequence
+from operator import or_
 from typing import TYPE_CHECKING
 
 from . import BadInputError
@@ -35,32 +35,30 @@ INFINITE = math.inf
 _ORDER_BY_PRODUCT = {0: 2, 1: 3, 2: 4, 3: 6}
 
 
-def graph_components(
-    vertices: Iterable[int], neighbours: Sequence[Collection[int]]
-) -> tuple[frozenset[int], ...]:
-    """Connected components of the graph induced on ``vertices``.
+def _mask(subset: Iterable[int]) -> int:
+    return reduce(or_, map((1).__lshift__, subset), 0)
 
-    ``neighbours[i]`` holds the vertices adjacent to i (i itself may be
-    listed).  Returned sorted by smallest member.
 
-    >>> graph_components({0, 1, 3}, [{1}, {0, 2}, {1, 3}, {2}])
-    (frozenset({0, 1}), frozenset({3}))
+def _bits(mask: int) -> list[int]:
+    """The members of a mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _flood(near: Sequence[int], inside: int, x: int) -> int:
+    """The mask of the component of x in the graph induced on the mask
+    ``inside`` (which holds x); ``near[i]`` is the mask of i's neighbours.
+
+    >>> bin(_flood([0b10, 0b101, 0b1010, 0b100], 0b1011, 0))
+    '0b11'
     """
-    left = set(vertices)
-    out = []
-    for start in sorted(left):
-        if start not in left:
-            continue
-        left.discard(start)
-        comp = [start]
-        stack = [start]
-        while stack:
-            found = left.intersection(neighbours[stack.pop()])
-            left -= found
-            comp += found
-            stack += found
-        out.append(frozenset(comp))
-    return tuple(out)
+    comp = todo = 1 << x
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = near[low.bit_length() - 1] & inside & ~comp
+        comp |= new
+        todo |= new
+    return comp
 
 
 def _by_size(sets: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
@@ -123,12 +121,7 @@ class CoxeterDiagram(namedtuple("CoxeterDiagram", "orders labels")):
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Edges of the defining graph (m_ij >= 3)."""
-        return tuple(
-            (i, j)
-            for i in range(self.rank)
-            for j in range(i + 1, self.rank)
-            if self.orders[i][j] >= 3
-        )
+        return tuple((i, j) for i in self.index_set for j in _bits(self._near[i]) if i < j)
 
     def finite_order_edges(self) -> tuple[tuple[int, int], ...]:
         """Edges of the finite-order graph (m_ij < infinity)."""
@@ -152,15 +145,25 @@ class CoxeterDiagram(namedtuple("CoxeterDiagram", "orders labels")):
         return f"P_{self.label_set(subset) if label is None else label}"
 
     @cached_property
-    def _defining_neighbours(self) -> tuple[frozenset[int], ...]:
-        return tuple(
-            frozenset(j for j, m in enumerate(row) if m >= 3) for row in self.orders
-        )
+    def _near(self) -> tuple[int, ...]:
+        """The defining-graph neighbours of each generator, as a mask."""
+        return tuple(sum(1 << j for j, m in enumerate(row) if m >= 3) for row in self.orders)
+
+    @cached_property
+    def _full(self) -> int:
+        return (1 << self.rank) - 1
+
+    def _components(self, mask: int) -> Iterator[int]:
+        """The defining-graph components of a mask, by smallest member."""
+        while mask:
+            comp = _flood(self._near, mask, (mask & -mask).bit_length() - 1)
+            yield comp
+            mask &= ~comp
 
     def components(self, subset: Iterable[int] | None = None) -> tuple[frozenset[int], ...]:
         """Connected components of the defining graph restricted to ``subset``."""
-        vertices = self.index_set if subset is None else subset
-        return graph_components(vertices, self._defining_neighbours)
+        mask = self._full if subset is None else _mask(subset)
+        return tuple(frozenset(_bits(c)) for c in self._components(mask))
 
     def spherical_type(self, component: Iterable[int]) -> FiniteTypeInfo | None:
         """Finite-type classification of one connected sub-diagram.
@@ -171,37 +174,35 @@ class CoxeterDiagram(namedtuple("CoxeterDiagram", "orders labels")):
         one, A to G: a diagram comes from a GCM, so its bond orders are 2,
         3, 4, 6 and infinity.
         """
-        comps = self.components(component)
+        comps = list(self._components(_mask(component)))
         return self._classify(comps[0]) if len(comps) == 1 else None
 
-    def _classify(self, component: Iterable[int]) -> FiniteTypeInfo | None:
-        comp = sorted(component)  # connected: spherical_type's unchecked core
-        n = len(comp)
+    def _classify(self, comp: int) -> FiniteTypeInfo | None:
+        members = _bits(comp)  # a connected mask: spherical_type's unchecked core
+        n = len(members)
         if n == 1:
             return FiniteTypeInfo("A1", 2, 1)
         if n == 2:
-            m = self.orders[comp[0]][comp[1]]
+            m = self.orders[members[0]][members[1]]
             if m == INFINITE:
                 return None
             return FiniteTypeInfo({3: "A2", 4: "B2", 6: "G2"}[m], 2 * m, m)
-        members = frozenset(comp)
-        adjacent = {i: self._defining_neighbours[i] & members for i in comp}
-        edges = [(i, j) for i in comp for j in adjacent[i] if i < j]
-        if any(self.orders[i][j] == INFINITE for i, j in edges):
-            return None
-        if len(edges) != n - 1:
+        degree = {i: (self._near[i] & comp).bit_count() for i in members}
+        if sum(degree.values()) != 2 * (n - 1):
             return None  # connected with a cycle
-        degree = {i: len(adjacent[i]) for i in comp}
         if max(degree.values()) > 3:
             return None
-        heavy = [(i, j) for i, j in edges if self.orders[i][j] > 3]
-        branch = [i for i in comp if degree[i] == 3]
+        heavy = [(i, j) for i in members for j in members
+                 if i < j and self.orders[i][j] > 3]
+        if any(self.orders[i][j] == INFINITE for i, j in heavy):
+            return None
+        branch = [i for i in members if degree[i] == 3]
         if len(branch) > 1:
             return None
         if branch:
             if heavy:
                 return None
-            legs = sorted(map(len, self.components(set(comp) - set(branch))))
+            legs = sorted(c.bit_count() for c in self._components(comp & ~(1 << branch[0])))
             if legs[:2] == [1, 1]:
                 return FiniteTypeInfo(
                     f"D{n}", 2 ** (n - 1) * math.factorial(n), n * (n - 1)
@@ -229,11 +230,12 @@ class CoxeterDiagram(namedtuple("CoxeterDiagram", "orders labels")):
             return FiniteTypeInfo("F4", 1152, 24)
         return None
 
+    def _spherical(self, mask: int) -> bool:
+        return all(self._classify(c) is not None for c in self._components(mask))
+
     def is_spherical(self, subset: Iterable[int]) -> bool:
         """True iff the standard subgroup generated by ``subset`` is finite."""
-        return all(
-            self._classify(c) is not None for c in self.components(subset)
-        )
+        return self._spherical(_mask(subset))
 
     def finite_group_order(self, subset: Iterable[int]) -> tuple[int, int]:
         """(group order, number of positive roots) of a spherical subset.
@@ -241,42 +243,34 @@ class CoxeterDiagram(namedtuple("CoxeterDiagram", "orders labels")):
         Both are multiplicative / additive across components.  Raises
         :class:`NotSphericalError` when some component is not finite type.
         """
-        order = 1
-        positive = 0
         subset = frozenset(subset)
-        for comp in self.components(subset):
-            info = self._classify(comp)
-            if info is None:
-                raise NotSphericalError(subset)
-            order *= info.order
-            positive += info.positive_roots
-        return order, positive
+        infos = [self._classify(c) for c in self._components(_mask(subset))]
+        if None in infos:
+            raise NotSphericalError(subset)
+        return math.prod(i.order for i in infos), sum(i.positive_roots for i in infos)
 
     def decompose(self, subset: Iterable[int]) -> "SubsetDecomposition":
         """Split a subset into spherical part, essential part and perp."""
         subset = frozenset(subset)
-        comps = self.components(subset)
-        spherical = frozenset().union(
-            *[c for c in comps if self._classify(c) is not None]
-        )
-        essential = subset - spherical
+        mask = _mask(subset)
+        comps = tuple(self._components(mask))
+        spherical = reduce(or_, (c for c in comps if self._classify(c) is not None), 0)
         return SubsetDecomposition(
             subset=subset,
-            components=comps,
-            spherical_part=spherical,
-            essential_part=essential,
+            components=tuple(frozenset(_bits(c)) for c in comps),
+            spherical_part=frozenset(_bits(spherical)),
+            essential_part=frozenset(_bits(mask & ~spherical)),
             perp=self.perp(subset),
         )
 
     def perp(self, subset: Iterable[int]) -> frozenset[int]:
-        """The generators commuting with every member of ``subset``."""
-        mask = reduce(and_, map(self._commuting.__getitem__, subset), (1 << self.rank) - 1)
-        return frozenset(i for i in self.index_set if mask >> i & 1) if mask else frozenset()
+        """The generators commuting with every member of ``subset``: those
+        outside it with no defining-graph neighbour in it."""
+        return frozenset(_bits(self._full & ~self._around(subset)))
 
-    @cached_property
-    def _commuting(self) -> tuple[int, ...]:
-        """For each generator, the mask of the generators it commutes with."""
-        return tuple(sum(1 << j for j, m in enumerate(row) if m == 2) for row in self.orders)
+    def _around(self, members: Iterable[int]) -> int:
+        """The mask of ``members`` with their defining-graph neighbours."""
+        return reduce(or_, (self._near[i] | 1 << i for i in members), 0)
 
     def spherical_subsets(self, base: Iterable[int]) -> tuple[frozenset[int], ...]:
         """The nonempty spherical subsets of ``base``, by size then members.
@@ -309,37 +303,43 @@ class CoxeterDiagram(namedtuple("CoxeterDiagram", "orders labels")):
     @cached_property
     def minimal_non_spherical(self) -> tuple[frozenset[int], ...]:
         """The non-spherical sets whose proper subsets are all spherical, by
-        size then members.  Each is connected, so it is S + {x} for S a
-        connected spherical set in a non-spherical component and x a
-        defining-graph neighbour of S (drop a non-cut vertex); such a step is
-        connected, so the unchecked ``_classify`` decides it."""
-        neighbours = self._defining_neighbours
-        level = {frozenset([i]) for c in self.components()
-                 if self._classify(c) is None for i in c}
+        size then members."""
+        return self._minimal_inside(self._full)
+
+    def _minimal_inside(self, base: int) -> tuple[frozenset[int], ...]:
+        """The minimal non-spherical sets inside the mask ``base``, by size
+        then members.  Each is connected, so it is S + {x} for S a connected
+        spherical set in a non-spherical component of ``base`` and x a
+        defining-graph neighbour of S in ``base`` (drop a non-cut vertex);
+        such a step is connected, so the unchecked ``_classify`` decides it."""
+        level = {1 << i for c in self._components(base)
+                 if self._classify(c) is None for i in _bits(c)}
         minimal = []
         while level:  # the connected spherical sets of one size
-            steps = {s | {x} for s in level for i in s for x in neighbours[i] - s}
+            steps = {s | 1 << x for s in level for x in _bits(self._around(_bits(s)) & base & ~s)}
             level = {t for t in steps if self._classify(t) is not None}
             minimal += [t for t in steps - level
-                        if all(self.is_spherical(t - {y}) for y in t)]
-        return _by_size(minimal)
+                        if all(self._spherical(t & ~(1 << y)) for y in _bits(t))]
+        return _by_size(frozenset(_bits(t)) for t in minimal)
 
     def maximal_spherical_subsets(self, base: Iterable[int]) -> tuple[frozenset[int], ...]:
         """The maximal spherical subsets of ``base`` (just the empty set when
         ``base`` is empty), by size then members: the complements in ``base``
         of the minimal transversals of the minimal non-spherical sets inside
-        it (Eiter and Gottlob, 1995).  Berge's method adds those sets one D at
-        a time: a transversal meeting D stays, and any other t becomes t + {x}
-        for each x in D unless a staying one lies inside.  The transversals
-        form an antichain, so two such extensions never nest."""
-        base = frozenset(base)
-        transversals = [frozenset()]
-        for d in self.minimal_non_spherical:
-            if d <= base:
-                kept = [t for t in transversals if t & d]
-                grown = (t | {x} for t in transversals if not t & d for x in d)
-                transversals = kept + [u for u in grown if not any(k <= u for k in kept)]
-        return _by_size(base - t for t in transversals)
+        it (Eiter and Gottlob, 1995).  Those sets are connected, so they are
+        grown inside ``base`` alone; every generator reads the cached
+        ``minimal_non_spherical``.  Berge's method adds them one D at a time:
+        a transversal meeting D stays, and any other t becomes t + {x} for
+        each x in D unless a staying one lies inside.  The transversals form
+        an antichain, so two such extensions never nest."""
+        base = _mask(base)
+        whole = base == self._full
+        transversals = [0]
+        for d in map(_mask, self.minimal_non_spherical if whole else self._minimal_inside(base)):
+            kept = [t for t in transversals if t & d]
+            grown = (t | 1 << x for t in transversals if not t & d for x in _bits(d))
+            transversals = kept + [u for u in grown if not any(k & u == k for k in kept)]
+        return _by_size(frozenset(_bits(base & ~t)) for t in transversals)
 
     def max_finite_order(self, base: Iterable[int]) -> int:
         """Largest |W_J| over the maximal spherical J inside ``base`` (orders
@@ -408,6 +408,7 @@ class Nerve(namedtuple("Nerve", "rank simplices")):
         return tuple(sorted(out))
 
 
+@lru_cache(maxsize=1)  # every caller in one process shares its cached facts
 def coxeter_matrix(gcm: GeneralizedCartanMatrix) -> CoxeterDiagram:
     """The Coxeter diagram of a GCM (products 0,1,2,3 map to 2,3,4,6; else inf).
 
@@ -443,24 +444,27 @@ frozenset[int] | None.
 
 
 def _separation(
-    neighbours: Sequence[Collection[int]], subsets: Iterable[frozenset[int]]
+    rank: int, edges: Iterable[Iterable[int]], subsets: Iterable[frozenset[int]]
 ) -> StrongConnectivity:
-    """The first of the empty set and ``subsets`` whose removal disconnects."""
-    all_vertices = frozenset(range(len(neighbours)))
+    """The first of the empty set and ``subsets`` whose removal disconnects
+    the graph on ``rank`` vertices with these edges."""
+    near = [0] * rank
+    for a, b in edges:
+        near[a] |= 1 << b
+        near[b] |= 1 << a
+    full = (1 << rank) - 1
     for subset in (frozenset(), *subsets):
+        rest = full & ~_mask(subset)
         # the empty graph and a single vertex count as connected
-        if len(graph_components(all_vertices - subset, neighbours)) > 1:
+        if rest and _flood(near, rest, rest.bit_length() - 1) != rest:
             return StrongConnectivity(False, subset)
     return StrongConnectivity(True, None)
 
 
+@lru_cache(maxsize=1)  # the ends and the indecomposability verdicts read one answer
 def graph_strong_connectivity(diagram: CoxeterDiagram) -> StrongConnectivity:
     """Connectivity of the finite-order graph after deleting any spherical set."""
-    neighbours = [
-        frozenset(j for j, m in enumerate(row) if m != INFINITE)
-        for row in diagram.orders
-    ]
-    return _separation(neighbours, diagram._spherical_subsets)
+    return _separation(diagram.rank, diagram.finite_order_edges(), diagram._spherical_subsets)
 
 
 def nerve_strong_connectivity(nerve: Nerve) -> StrongConnectivity:
@@ -471,8 +475,5 @@ def nerve_strong_connectivity(nerve: Nerve) -> StrongConnectivity:
     connected iff its 1-skeleton is, so only the nerve's edges (2-element
     simplices) avoiding J are followed.
     """
-    neighbours: list[set[int]] = [set() for _ in range(nerve.rank)]
-    for a, b in (s for s in nerve.simplices if len(s) == 2):
-        neighbours[a].add(b)
-        neighbours[b].add(a)
-    return _separation(neighbours, nerve.simplices)
+    edges = (s for s in nerve.simplices if len(s) == 2)
+    return _separation(nerve.rank, edges, nerve.simplices)

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import chain, repeat
-from operator import or_
 from typing import TYPE_CHECKING
 
 from . import DEFAULT_BUDGET, BadInputError, BudgetExceededError
-from .coxeter import CoxeterDiagram
+from .coxeter import CoxeterDiagram, _bits, _flood, _mask
 
 if TYPE_CHECKING:  # the group routines import it when they run; the poset never does
     from .weyl import WeylElement, WeylGroup
@@ -96,24 +95,18 @@ class EssentialPoset(namedtuple("EssentialPoset", "elements hasse")):
         >>> poset.hasse
         ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4))
         """
-        near = [sum(1 << j for j in js) for js in diagram._defining_neighbours]
         bits = [1 << x for x in diagram.index_set]
+        minimal = list(map(_mask, diagram.minimal_non_spherical))
         # what a cover adds to a, as a mask: that mask with its neighbours,
         # and its members
-        step = {1 << x: (1 << x | near[x], frozenset([x])) for x in diagram.index_set}
-        minimal = []
-        for d in diagram.minimal_non_spherical:
-            mask = sum(1 << i for i in d)
-            minimal.append(mask)
-            step[mask] = (reduce(or_, (near[i] | 1 << i for i in d)), d)
-        full = (1 << diagram.rank) - 1
+        step = {d: (diagram._around(_bits(d)), frozenset(_bits(d))) for d in bits + minimal}
         # by position in the walk: each mask a, a + N(a), the set a and the
         # masks of its covers
         order, closure, sets, ups, reached = [0], [0], [frozenset()], [], {0}
         for a, closed, members in zip(order, closure, sets):  # the lists grow
             out = closed & ~a
             found = [a | x for x in bits if x & out]
-            if closed != full:  # else no D is disjoint from a + N(a)
+            if closed != diagram._full:  # else no D is disjoint from a + N(a)
                 found += [a | d for d in minimal if not d & closed]
             ups.append(found)
             new = [b for b in found if b not in reached]
@@ -173,7 +166,7 @@ def deodhar_move(group: WeylGroup, source: Iterable[int], s: int) -> DeodharMove
     source = frozenset(source)
     if s in source:
         raise ValueError(f"generator {s} already belongs to {sorted(source)}")
-    component = next(c for c in group.diagram.components(source | {s}) if s in c)
+    component = frozenset(_bits(_flood(group.diagram._near, _mask(source) | 1 << s, s)))
     if not group.diagram.is_spherical(component):
         raise ComponentNotSphericalError(source, s, component)
     nu = group.from_word(group.longest_element(component - {s}).word
@@ -203,43 +196,48 @@ def standard_conjugacy(
     any move.
 
     Each move is built once per (K, s), K the component of J + {s} that
-    holds s: K - {s} lies in J, nu = w_{K - s} w_K depends on (K, s) only,
-    and nu fixes each generator with no defining-graph neighbour in K,
-    which every generator of J - K is.  That is checked when the move is
-    made, so the move of J is the move of K - {s} with J - K kept.
+    holds s, grown from s alone: K - {s} lies in J, nu = w_{K - s} w_K
+    depends on (K, s) only, and nu fixes each generator with no
+    defining-graph neighbour in K, which every generator of J - K is.  That
+    is checked when the move is made, so the move of J is the move of
+    K - {s} with J - K kept.  The walk keys subsets and moves by mask, and
+    builds move records for the witness path alone.
     """
     source, target = frozenset(source), frozenset(target)
     if source == target:
         return ConjugacyWitness(element=group.identity, moves=())
     diagram = group.diagram
-    shapes = [sorted((len(c), getattr(diagram._classify(c), "name", ""),
+    shapes = [sorted((len(c), getattr(diagram._classify(_mask(c)), "name", ""),
                       sorted(diagram.orders[i][j] for i in c for j in c if i < j))
                      for c in diagram.components(j)) for j in (source, target)]
     if shapes[0] != shapes[1]:
         return None
-    table = {}  # (K, s) -> the move of K - {s} across s, None when K is infinite
-    order, arrival = [source], {source: None}  # subset -> the move that reached it
+    table = {}  # (K, s) -> (the move of K - {s} across s, its target), None when K is infinite
+    goal, order = _mask(target), [_mask(source)]
+    arrival = {order[0]: None}  # subset -> (the subset it was reached from, the move)
     for cur in order:  # breadth first: the list grows while it is read
-        for s in sorted(set(range(group.rank)) - cur):
-            component = next(c for c in diagram.components(cur | {s}) if s in c)
+        for s in _bits(diagram._full & ~cur):
+            component = _flood(diagram._near, cur | 1 << s, s)
             if (component, s) not in table:
-                move = None
-                if diagram.is_spherical(component):
-                    move = deodhar_move(group, component - {s}, s)
-                    apart = frozenset(j for j in range(group.rank) if j not in component
-                                      and not diagram._defining_neighbours[j] & component)
+                table[component, s] = None
+                if diagram._classify(component) is not None:
+                    move = deodhar_move(group, _bits(component & ~(1 << s)), s)
+                    apart = diagram.perp(_bits(component))
                     if _conjugate_generator_set(group, move.nu, apart) != apart:
                         raise MoveVerificationError("move element moved a generator apart")
-                table[component, s] = move
-            move = table[component, s]
-            if move is None or (to := cur - component | move.target) in arrival:
+                    table[component, s] = move, _mask(move.target)
+            entry = table[component, s]
+            if entry is None or (to := cur & ~component | entry[1]) in arrival:
                 continue
-            move = arrival[to] = move._replace(source=cur, target=to)
+            arrival[to] = cur, entry[0]
             order.append(to)
-            if to == target:
-                moves = [move]
-                while (move := arrival[move.source]) is not None:
-                    moves.append(move)
+            if to == goal:
+                moves = []
+                while arrival[to] is not None:
+                    parent, move = arrival[to]
+                    moves.append(move._replace(source=frozenset(_bits(parent)),
+                                               target=frozenset(_bits(to))))
+                    to = parent
                 moves.reverse()
                 witness = group.from_word(k for m in moves for k in m.nu.word)
                 if _conjugate_generator_set(group, witness, source) != target:

@@ -68,6 +68,17 @@ def affine_a_text(n):
     )
 
 
+def grid_text(r):
+    """Plain-rows text of the simply laced r x r grid: one generator per
+    cell, bonded to the cells beside and below it."""
+    n = r * r
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in ([i + 1] if i % r < r - 1 else []) + ([i + r] if i + r < n else []):
+            rows[i][j] = rows[j][i] = -1
+    return "".join(" ".join(map(str, row)) + "\n" for row in rows)
+
+
 class TestInputParsing:
     def test_json_object(self):
         g = parse_gcm_text('{"matrix": [[2, -1], [-1, 2]], "labels": ["x", "y"]}')
@@ -516,6 +527,30 @@ class TestExitCodes:
         assert len(payload["moves"]) == 36 and len(payload["witness_word"]) == 72
         assert elapsed < 1
 
+    def test_conj_of_finite_a24_is_quick(self):
+        # the walk floods the component of s alone, on masks: 24,310 subsets
+        # in the orbit; the digest is of the output of the frozenset walk
+        start = time.perf_counter()
+        proc = run_km("conj", "-", "--from", "1,3,5,7,9,11,13,15",
+                      "--to", "10,12,14,16,18,20,22,24", stdin=finite_a_text(24), timeout=20)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+            "e15e1288ed636ce8d265e08ed459aa8a86f44a23428cc0b808881bff81473323")
+        payload = json.loads(proc.stdout)["payload"]
+        assert len(payload["moves"]) == 72 and len(payload["witness_word"]) == 144
+        assert elapsed < 1, elapsed
+
+    def test_order_of_a_reflection_in_the_6x6_grid_is_quick(self):
+        # the torsion cap grows the minimal non-spherical sets inside the
+        # support {1} alone, not the exponentially many of the whole grid
+        start = time.perf_counter()
+        proc = run_km("weyl", "word", "-", "--word", "1", stdin=grid_text(6), timeout=20)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["payload"]["order"] == 2
+        assert elapsed < 1, elapsed
+
     @pytest.mark.parametrize(
         "n, source, target",
         [(20, "1,2,3", "18,19"), (24, "1,3,5,7,9,11,13,15", "1,2,4,6,8,10,12,14")],
@@ -751,6 +786,46 @@ class TestOnePosetPerDiagram:
         for path in (a, b, a):
             assert cli.main(["report", path, "--q", "2"]) == 0
             assert capsys.readouterr().out == fresh[path], path
+
+
+class TestOneDiagramPerMatrix:
+    """Every caller in one `km` process reads one diagram per matrix, so
+    `km report` enumerates the nerve once and walks the finite-order graph
+    once, for both the ends and the indecomposability verdicts."""
+
+    def test_report_enumerates_the_nerve_once(self, tmp_path, monkeypatch, capsys):
+        from functools import cached_property
+
+        from kmgroups import coxeter
+        from kmgroups.parabolics import EssentialPoset
+
+        nerves, walks = [], []
+        enumerate_all = coxeter.CoxeterDiagram._spherical_subsets.func
+        separation = coxeter._separation
+
+        def counting_nerve(diagram):
+            nerves.append(diagram)
+            return enumerate_all(diagram)
+
+        def counting_walk(*args):
+            walks.append(args)
+            return separation(*args)
+
+        counted = cached_property(counting_nerve)
+        counted.__set_name__(coxeter.CoxeterDiagram, "_spherical_subsets")
+        monkeypatch.setattr(coxeter.CoxeterDiagram, "_spherical_subsets", counted)
+        monkeypatch.setattr(coxeter, "_separation", counting_walk)
+        # an earlier test may have left this matrix's diagram in the caches
+        for cache in (coxeter.coxeter_matrix, coxeter.graph_strong_connectivity,
+                      EssentialPoset.build):
+            cache.cache_clear()
+        path = tmp_path / "affine_a5.json"
+        path.write_text(affine_a_text(5))
+        assert cli.main(["report", str(path), "--q", "4"]) == 0
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert payload["ends"]["one_ended"] and payload["indecomposability"]["by"]
+        # one walk of the finite-order graph and one of the nerve's 1-skeleton
+        assert len(nerves) == 1 and len(walks) == 2
 
 
 @pytest.fixture(params=["buffered", "unbuffered"])

@@ -121,6 +121,47 @@ class TestComponents:
         assert d.components(set()) == ()
 
 
+class TestSubsetRoutinesAgainstOracles:
+    """The routines on generator sets against the matrix oracles, on the
+    subset sweep with seeded random subsets: components of the graph a_ij
+    != 0, finiteness by positive principal minors and the perp as the
+    generators j outside J with a_ij = 0 for every i in J."""
+
+    def test_match_the_matrix_oracles(self, catalog_gcms):
+        rng = random.Random(20261024)
+        orders = {}  # submatrix -> its group order, by breadth-first search
+        for rows in subset_sweep(catalog_gcms):
+            d = diagram(rows)
+            n = d.rank
+            everything = oracles.coxeter_components(rows, range(n))
+            assert list(d.components()) == everything, rows
+            subsets = [range(n), ()] + [rng.sample(range(n), rng.randint(1, n)) for _ in range(3)]
+            for subset in map(frozenset, subsets):
+                comps = oracles.coxeter_components(rows, subset)
+                finite = [c for c in comps if oracles.finite_type(rows, c)]
+                spherical = frozenset().union(*finite)
+                perp = frozenset(j for j in range(n)
+                                 if j not in subset and not any(rows[i][j] for i in subset))
+                assert d.decompose(subset) == (
+                    subset, tuple(comps), spherical, subset - spherical, perp), (rows, subset)
+                assert d.components(subset) == tuple(comps)
+                assert d.is_spherical(subset) == (len(finite) == len(comps)), (rows, subset)
+                assert [d.spherical_type(c) is not None for c in comps] == [
+                    c in finite for c in comps]
+                if len(comps) != 1:
+                    assert d.spherical_type(subset) is None
+                if len(finite) < len(comps):
+                    with pytest.raises(NotSphericalError) as exc:
+                        d.finite_group_order(subset)
+                    assert exc.value.subset == subset
+                elif len(subset) <= 3:
+                    sub = tuple(tuple(rows[a][b] for b in sorted(subset)) for a in sorted(subset))
+                    if sub not in orders:
+                        halted, orders[sub] = oracles.enumerate_group(sub, cap=100)
+                        assert halted, sub
+                    assert d.finite_group_order(subset)[0] == orders[sub], (rows, subset)
+
+
 FINITE_TYPE_CASES = [
     # rows, expected name, expected order, expected positive roots
     ([[2]], "A1", 2, 1),
@@ -545,6 +586,10 @@ class TestMaximalSphericalSubsets:
                 rng.sample(range(d.rank), rng.randint(0, d.rank)) for _ in range(3)
             ]
             for base in bases:
+                # a minimal non-spherical set is connected, so those inside
+                # the base grow inside it alone
+                inside = [m for m in d.minimal_non_spherical if m <= frozenset(base)]
+                assert list(d._minimal_inside(sum(1 << i for i in base))) == inside
                 expected = oracles.maximal_sets([frozenset(), *d.spherical_subsets(base)])
                 assert list(d.maximal_spherical_subsets(base)) == expected, (rows, base)
                 assert d.max_finite_order(base) == oracles.max_finite_order(d, base)

@@ -364,6 +364,45 @@ def test_parabolics_makes_no_dense_product():
     assert inverses == []
 
 
+def component_splits(function):
+    """Line numbers of the ``.components(`` calls in a function, apart from
+    those inside an assignment to ``shapes``."""
+    shapes = {
+        id(inner)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["shapes"]
+        for inner in ast.walk(node)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and id(node) not in shapes
+        and getattr(node.func, "attr", None) == "components"
+    )
+
+
+def test_component_splits_are_found():
+    tree = ast.parse(
+        "def f(d, j):\n"
+        "    shapes = [d.components(x) for x in j]\n"
+        "    return next(c for c in d.components(j) if 0 in c), components(j)\n"
+    )
+    assert component_splits(tree.body[0]) == [3]
+
+
+@pytest.mark.parametrize("name", ["deodhar_move", "standard_conjugacy"])
+def test_moves_grow_one_component(name):
+    # the component of s is one flood from s; splitting J + {s} into all its
+    # components, to keep the one holding s, was most of the walk's time
+    tree = ast.parse((SRC / "parabolics.py").read_text())
+    function = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+    assert component_splits(function) == []
+
+
 def layer_hooks():
     """``HOOKS`` of ``perfbench/layer_trace.py``, read from its source:
     hook name -> (module, attribute path, hot leaf?)."""
